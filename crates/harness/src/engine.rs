@@ -15,7 +15,7 @@
 //! outcome, and re-raised by [`run_suite`] after every worker has drained —
 //! one broken figure doesn't strand the queue mid-run.
 
-use crate::prep::{lock_unpoisoned, CacheStats, PrepCache};
+use crate::prep::{CacheStats, PrepCache};
 use crate::timing::{self, PhaseStats};
 use ola_quant::{EvalCache, EvalStats};
 use ola_sim::{SimCache, SimStats};
@@ -98,9 +98,9 @@ impl SuiteResult {
 }
 
 /// Default worker count: the machine's available parallelism (shared with
-/// the intra-experiment layer parallelism in [`ola_sim::par`]).
+/// the intra-experiment layer parallelism in [`ola_tensor::par`]).
 pub fn default_jobs() -> usize {
-    ola_sim::par::default_jobs()
+    ola_tensor::par::default_jobs()
 }
 
 /// Whether `name` is an experiment [`crate::run_experiment`] accepts.
@@ -243,9 +243,8 @@ pub fn run_suite_collect(names: &[&str], fast: bool, jobs: usize) -> Vec<String>
 
 /// Best-effort extraction of a caught panic's message (shared with the
 /// caches' exactly-once slots, which relay a failed build's message to
-/// every waiting requester; the implementation now lives in
-/// [`ola_sim::memo`] alongside that slot protocol).
-pub(crate) use ola_sim::memo::panic_message;
+/// every waiting requester).
+pub(crate) use ola_tensor::memo::{lock_unpoisoned, panic_message};
 
 #[cfg(test)]
 mod tests {

@@ -47,7 +47,8 @@
 //! completion, and the socket file is removed.
 
 use crate::cli::RunOptions;
-use crate::prep::{fill_slot, Fill, PrepCache, Slot};
+use crate::prep::PrepCache;
+use ola_tensor::memo::{fill_slot, Fill, Slot};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};

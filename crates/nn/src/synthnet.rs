@@ -310,8 +310,7 @@ impl SynthNet {
     ///
     /// Top-1 is derivable from the same logits as top-k, so evaluating
     /// both metrics together halves the test-set forwards compared to
-    /// calling [`SynthNet::accuracy_with`] and
-    /// [`SynthNet::topk_accuracy_with`] separately.
+    /// two separate passes.
     pub fn eval_with<F: FnMut(LayerId, &mut [f32])>(
         &self,
         data: &SynthDataset,
@@ -365,26 +364,9 @@ impl SynthNet {
         )
     }
 
-    /// Top-1 accuracy on a dataset, with an activation transform hook.
-    /// Thin wrapper over [`SynthNet::eval_with`].
-    pub fn accuracy_with<F: FnMut(LayerId, &mut [f32])>(&self, data: &SynthDataset, act: F) -> f64 {
-        self.eval_with(data, 1, act).0
-    }
-
     /// Top-1 accuracy, full precision.
     pub fn accuracy(&self, data: &SynthDataset) -> f64 {
-        self.accuracy_with(data, |_, _| ())
-    }
-
-    /// Top-k accuracy with an activation hook. Thin wrapper over
-    /// [`SynthNet::eval_with`].
-    pub fn topk_accuracy_with<F: FnMut(LayerId, &mut [f32])>(
-        &self,
-        data: &SynthDataset,
-        k: usize,
-        act: F,
-    ) -> f64 {
-        self.eval_with(data, k, act).1
+        self.eval_with(data, 1, |_, _| ()).0
     }
 
     /// Trains with SGD + momentum for `epochs` passes over `data`.
@@ -888,7 +870,7 @@ mod tests {
         // partial_cmp().unwrap() and panicked the moment any logit went NaN.
         let net = SynthNet::new(4, 8);
         let data = SynthDataset::generate(20, 4, 8);
-        let acc = net.topk_accuracy_with(&data, 2, |layer, a| {
+        let (_, acc) = net.eval_with(&data, 2, |layer, a| {
             if layer == LayerId::Fc1 {
                 a.fill(f32::NAN);
             }
@@ -904,7 +886,7 @@ mod tests {
         let net = SynthNet::new(6, 12);
         let data = SynthDataset::generate(50, 6, 13);
         for k in [1, 2, 4] {
-            let got = net.topk_accuracy_with(&data, k, |_, _| ());
+            let (_, got) = net.eval_with(&data, k, |_, _| ());
             // Reference: the old stable descending sort (finite logits).
             let mut correct = 0usize;
             for (img, &label) in data.images.iter().zip(&data.labels) {
@@ -918,10 +900,7 @@ mod tests {
             assert_eq!(got, correct as f64 / data.len() as f64, "k={k}");
         }
         // top-1 agrees with argmax-based accuracy on finite logits.
-        assert_eq!(
-            net.topk_accuracy_with(&data, 1, |_, _| ()),
-            net.accuracy(&data)
-        );
+        assert_eq!(net.eval_with(&data, 1, |_, _| ()).1, net.accuracy(&data));
     }
 
     #[test]
@@ -991,7 +970,6 @@ mod tests {
         net.train(&data, 2, 0.02, 25);
         let (top1, top3) = net.eval_with(&data, 3, |_, _| ());
         assert_eq!(top1, net.accuracy(&data));
-        assert_eq!(top3, net.topk_accuracy_with(&data, 3, |_, _| ()));
         assert!(top3 >= top1, "top-3 can never be below top-1");
     }
 

@@ -17,26 +17,24 @@
 //!   and calibration images, every [`QuantSpec`] field (floats by bit
 //!   pattern) and `topk` — so a cached record is bit-identical to a fresh
 //!   evaluation at any worker count;
-//! * fills run under the exactly-once protocol of
-//!   [`ola_tensor::memo::fill_slot`], so concurrent figures and daemon
-//!   requests coalesce onto one evaluation per key and a panicking build
-//!   never poisons its slot.
+//! * the cache is an [`ola_tensor::memo::Stage`], whose fills run under
+//!   the exactly-once protocol of [`ola_tensor::memo::fill_slot`], so
+//!   concurrent figures and daemon requests coalesce onto one evaluation
+//!   per key and a panicking build never poisons its slot.
 //!
-//! With [`EvalCache::set_store`] the cache gains a persistent tier: misses
-//! read through to an [`EvalResultStore`] before evaluating and fresh
-//! results write through after, which is what lets a warm `--cache-dir`
+//! With [`EvalCache::set_store`] the cache gains a persistent [`Tier`]:
+//! misses read through to it before evaluating and fresh results write
+//! through after, which is what lets a warm `--cache-dir`
 //! run skip the eval phase entirely. The store content-addresses records
 //! by this fingerprint plus a separate `eval_version()` source fold (see
 //! `ola-store`), so accelerator-model or extraction edits never discard
 //! still-valid eval records — and vice versa.
 
 use crate::accuracy::{QuantAccuracy, QuantSpec, CALIB_IMAGES};
-use crate::policy::OutlierSelect;
 use ola_nn::synthnet::{SynthDataset, SynthNet};
-use ola_tensor::memo::{fill_slot, lock_unpoisoned, Fill, Fingerprint, Slot};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use ola_tensor::memo::{Fingerprint, Stage, Tier};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Process-wide default worker count for the eval phase (per-image
 /// test-set and calibration forwards), set by the experiment engine from
@@ -117,33 +115,7 @@ fn fold_spec(fp: &mut Fingerprint, spec: &QuantSpec) {
         .u8(spec.first_layer_weight_bits)
         .u8(spec.quantize_weights as u8)
         .u8(spec.quantize_acts as u8);
-    match spec.select {
-        OutlierSelect::MagnitudePercentile => {
-            fp.u8(0);
-        }
-        OutlierSelect::WindowedTopK { window } => {
-            fp.u8(1).usize(window);
-        }
-        OutlierSelect::SensitivityWeighted { window } => {
-            fp.u8(2).usize(window);
-        }
-    }
-}
-
-/// The persistent tier of the [`EvalCache`]: accuracy records addressed by
-/// their content fingerprint. Implemented by `ola-store::ArtifactStore`;
-/// defined here so the cache (which sits below the store in the crate
-/// graph) can hold one behind a trait object.
-///
-/// Load failures of any kind (missing file, stale eval-code version,
-/// corrupt bytes) must surface as `None` and save failures must be
-/// swallowed (warning on stderr) — a broken store degrades to a cold
-/// cache, never a failed run.
-pub trait EvalResultStore: Send + Sync {
-    /// Loads a cached accuracy record, if a valid one exists.
-    fn load_eval(&self, key: u64) -> Option<QuantAccuracy>;
-    /// Persists an accuracy record under `key`.
-    fn save_eval(&self, key: u64, acc: &QuantAccuracy);
+    spec.select.fold(fp);
 }
 
 /// A point-in-time snapshot of [`EvalCache`] hit/miss counters.
@@ -189,12 +161,7 @@ impl EvalStats {
 /// determinism argument.
 #[derive(Default)]
 pub struct EvalCache {
-    evals: Mutex<HashMap<u64, Slot<QuantAccuracy>>>,
-    store: Mutex<Option<Arc<dyn EvalResultStore>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
+    evals: Stage<QuantAccuracy>,
 }
 
 impl EvalCache {
@@ -210,16 +177,10 @@ impl EvalCache {
         GLOBAL.get_or_init(EvalCache::new)
     }
 
-    /// Attaches (or, with `None`, detaches) the persistent disk tier.
-    /// Misses read through to the store before evaluating and fresh
-    /// results write through after; already-resident entries are
-    /// unaffected.
-    pub fn set_store(&self, store: Option<Arc<dyn EvalResultStore>>) {
-        *lock_unpoisoned(&self.store) = store;
-    }
-
-    fn store(&self) -> Option<Arc<dyn EvalResultStore>> {
-        lock_unpoisoned(&self.store).clone()
+    /// Attaches (or, with `None`, detaches) the persistent tier.
+    /// Already-resident entries are unaffected.
+    pub fn set_store(&self, store: Option<Arc<dyn Tier<QuantAccuracy>>>) {
+        self.evals.set_tier(store);
     }
 
     /// Fetches or computes (exactly once per key, process-wide) the
@@ -227,35 +188,17 @@ impl EvalCache {
     /// inputs folded into `key` (which [`eval_key`] guarantees for
     /// [`crate::accuracy::evaluate_synthnet`]).
     pub fn eval(&self, key: u64, build: impl FnOnce() -> QuantAccuracy) -> QuantAccuracy {
-        let (value, fill) = fill_slot(&self.evals, key, || {
-            let store = self.store();
-            if let Some(store) = &store {
-                if let Some(acc) = store.load_eval(key) {
-                    return (Arc::new(acc), Fill::Disk);
-                }
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let acc = build();
-            if let Some(store) = &store {
-                store.save_eval(key, &acc);
-            }
-            (Arc::new(acc), Fill::Built)
-        });
-        match fill {
-            None => self.hits.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Built) => self.misses.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Disk) => self.disk_hits.fetch_add(1, Ordering::Relaxed),
-        };
-        *value
+        *self.evals.get(key, build)
     }
 
     /// Snapshots the hit/miss counters.
     pub fn stats(&self) -> EvalStats {
+        let s = self.evals.stats();
         EvalStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
+            hits: s.hits,
+            misses: s.built,
+            disk_hits: s.disk_hits,
+            disk_misses: s.disk_misses,
         }
     }
 
@@ -263,23 +206,19 @@ impl EvalCache {
     /// frees the memory of a long-lived process between suites). The disk
     /// tier, if attached, stays attached.
     pub fn reset(&self) {
-        let mut evals = lock_unpoisoned(&self.evals);
-        evals.clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.disk_misses.store(0, Ordering::Relaxed);
+        self.evals.reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::OutlierSelect;
 
-    fn acc(top1: f64) -> QuantAccuracy {
+    fn acc() -> QuantAccuracy {
         QuantAccuracy {
-            top1,
-            topk: top1,
+            top1: 0.9,
+            topk: 0.9,
             realized_weight_ratio: 0.03,
         }
     }
@@ -287,36 +226,20 @@ mod tests {
     #[test]
     fn evals_compute_once_per_key() {
         let cache = EvalCache::new();
-        let mut builds = 0u32;
         for _ in 0..3 {
-            let r = cache.eval(11, || {
-                builds += 1;
-                acc(0.9)
-            });
-            assert_eq!(r.top1, 0.9);
+            assert_eq!(cache.eval(11, acc).top1, 0.9);
         }
-        assert_eq!(builds, 1);
         let s = cache.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 2);
-    }
-
-    #[test]
-    fn distinct_keys_get_distinct_entries() {
-        let cache = EvalCache::new();
-        let a = cache.eval(1, || acc(0.1));
-        let b = cache.eval(2, || acc(0.2));
-        assert_ne!(a.top1, b.top1);
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!((s.misses, s.hits), (1, 2));
     }
 
     #[test]
     fn reset_clears_entries_and_counters() {
         let cache = EvalCache::new();
-        let _ = cache.eval(9, || acc(0.5));
+        let _ = cache.eval(9, acc);
         cache.reset();
         assert_eq!(cache.stats(), EvalStats::default());
-        let _ = cache.eval(9, || acc(0.5));
+        let _ = cache.eval(9, acc);
         assert_eq!(cache.stats().misses, 1);
     }
 

@@ -51,7 +51,7 @@ pub mod outlier;
 pub mod policy;
 
 pub use chunks::{OutlierActChunk, WeightChunk, CHUNK_WEIGHTS};
-pub use evalcache::{EvalCache, EvalResultStore, EvalStats};
+pub use evalcache::{EvalCache, EvalStats};
 pub use linear::LinearQuantizer;
 pub use outlier::{OutlierQuantized, OutlierQuantizer};
 pub use policy::{OutlierPolicy, OutlierSelect, PolicyQuantizer};

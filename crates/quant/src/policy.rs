@@ -19,6 +19,7 @@
 //! byte-for-byte at any worker count.
 
 use crate::linear::LinearQuantizer;
+use ola_tensor::memo::Fingerprint;
 use ola_tensor::stats::{kth_largest_magnitude, magnitude_threshold};
 
 /// Which outlier-selection rule a pipeline runs under — the plain-data
@@ -56,6 +57,15 @@ impl OutlierSelect {
             OutlierSelect::WindowedTopK { .. } => "windowed-top1",
             OutlierSelect::SensitivityWeighted { .. } => "sensitivity",
         }
+    }
+
+    /// Folds the rule's identity (tag, then window) into a cache key.
+    pub fn fold(&self, fp: &mut Fingerprint) {
+        match *self {
+            OutlierSelect::MagnitudePercentile => fp.u8(0),
+            OutlierSelect::WindowedTopK { window } => fp.u8(1).usize(window),
+            OutlierSelect::SensitivityWeighted { window } => fp.u8(2).usize(window),
+        };
     }
 
     /// The behavior behind the identity.

@@ -2,6 +2,7 @@
 
 use ola_energy::ComparisonMode;
 pub use ola_quant::policy::OutlierSelect;
+use ola_tensor::memo::Fingerprint;
 
 /// How the first convolutional layer is treated (§II / Fig 3 notes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,6 +54,26 @@ impl QuantPolicy {
             mode: ComparisonMode::Bits8,
             ..Self::olaccel16(network)
         }
+    }
+
+    /// Folds the policy's identity into a cache key: every field, with the
+    /// outlier ratio by canonical bit pattern. `-0.0` folds onto `0.0` and
+    /// every NaN onto the quiet NaN — they extract identically, so raw
+    /// bits would only split one policy across two keys and double the
+    /// work.
+    pub fn fold(&self, fp: &mut Fingerprint) {
+        let ratio = if self.outlier_ratio == 0.0 {
+            0.0
+        } else if self.outlier_ratio.is_nan() {
+            f64::NAN
+        } else {
+            self.outlier_ratio
+        };
+        fp.u32(self.mode.bits())
+            .u32(self.low_bits)
+            .f64(ratio)
+            .u8(self.first_layer as u8);
+        self.select.fold(fp);
     }
 
     /// Bits of a dense weight in layer `index` (0 = first layer).
@@ -120,6 +141,38 @@ mod tests {
         assert_eq!(p.weight_bits(0), 8);
         assert_eq!(p.act_bits(0), 8);
         assert_eq!(p.outlier_act_bits(), 8);
+    }
+
+    fn key(p: &QuantPolicy) -> u64 {
+        let mut fp = Fingerprint::new();
+        p.fold(&mut fp);
+        fp.finish()
+    }
+
+    #[test]
+    fn fingerprint_canonicalizes_f64_noise() {
+        let mut a = QuantPolicy::olaccel16("alexnet");
+        let mut b = a;
+        a.outlier_ratio = 0.0;
+        b.outlier_ratio = -0.0;
+        assert_eq!(key(&a), key(&b));
+        a.outlier_ratio = f64::NAN;
+        b.outlier_ratio = -f64::NAN;
+        assert_eq!(key(&a), key(&b));
+        b.outlier_ratio = 0.01;
+        assert_ne!(key(&a), key(&b));
+        let mut c = QuantPolicy::olaccel16("alexnet");
+        c.select = OutlierSelect::WindowedTopK { window: 16 };
+        assert_ne!(
+            key(&QuantPolicy::olaccel16("alexnet")),
+            key(&c),
+            "selection rule must change the fingerprint"
+        );
+        assert_ne!(
+            key(&QuantPolicy::olaccel16("alexnet")),
+            key(&QuantPolicy::olaccel8("alexnet")),
+            "comparison mode must change the fingerprint"
+        );
     }
 
     #[test]

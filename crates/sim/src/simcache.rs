@@ -7,8 +7,8 @@
 //! is the model-phase analogue of the harness's `PrepCache`: a global
 //! two-level cache of [`LayerRun`]s (analytic cycle/energy model) and
 //! [`EventRecord`]s (event-driven validation backend), keyed by a content
-//! fingerprint (see [`crate::memo::Fingerprint`]) of everything that can
-//! change the result.
+//! fingerprint (see [`ola_tensor::memo::Fingerprint`]) of everything that
+//! can change the result.
 //!
 //! Correctness rests on two facts:
 //!
@@ -16,29 +16,27 @@
 //!   (the event backend's randomness is derived from a fixed seed that is
 //!   itself folded into the key), so a cached result is bit-identical to
 //!   a fresh computation;
-//! * fills run under the exactly-once protocol of
-//!   [`crate::memo::fill_slot`], so concurrent figures and daemon
-//!   requests coalesce onto one computation per key and a panicking
-//!   simulation never poisons its slot.
+//! * each level is an [`ola_tensor::memo::Stage`], whose fills run under
+//!   the exactly-once protocol of [`ola_tensor::memo::fill_slot`], so
+//!   concurrent figures and daemon requests coalesce onto one computation
+//!   per key and a panicking simulation never poisons its slot.
 //!
-//! With [`SimCache::set_store`] the cache gains a persistent tier: misses
-//! read through to a [`SimResultStore`] before computing and fresh
-//! simulations write through after, which is what lets a warm `--cache-dir`
-//! daemon or CLI run skip the model phase entirely. Stale stores are
-//! harmless by construction — the store keys records by the same content
-//! fingerprint plus a model-code version, so at worst a lookup misses.
+//! With [`SimCache::set_store`] each stage gains a persistent [`Tier`]:
+//! misses read through to it before simulating and fresh results write
+//! through after, which is what lets a warm `--cache-dir` daemon or CLI
+//! run skip the model phase entirely. Stale stores are harmless by
+//! construction — the store keys records by the same content fingerprint
+//! plus a model-code version, so at worst a lookup misses.
 
-use crate::memo::{fill_slot, lock_unpoisoned, Fill, Slot};
 use crate::result::{LayerRun, Utilization};
-use crate::timing;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use ola_tensor::memo::{Stage, Tier};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Process-wide default worker count for the model phase (accelerator
 /// `simulate()` over layers), set by the experiment engine from its
 /// `--jobs` split. Zero means "unset": standalone callers fall back to
-/// [`crate::par::default_jobs`].
+/// [`ola_tensor::par::default_jobs`].
 static MODEL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide default model-phase worker count.
@@ -52,10 +50,11 @@ pub fn set_model_jobs(jobs: usize) {
 }
 
 /// Current process-wide default model-phase worker count:
-/// [`crate::par::default_jobs`] until [`set_model_jobs`] overrides it.
+/// [`ola_tensor::par::default_jobs`] until [`set_model_jobs`] overrides
+/// it.
 pub fn model_jobs() -> usize {
     match MODEL_JOBS.load(Ordering::Relaxed) {
-        0 => crate::par::default_jobs(),
+        0 => ola_tensor::par::default_jobs(),
         j => j,
     }
 }
@@ -72,26 +71,6 @@ pub struct EventRecord {
     pub utilization: Utilization,
     /// Cycles the outlier lane spent busy.
     pub outlier_busy: u64,
-}
-
-/// The persistent tier of the [`SimCache`]: per-layer simulation results
-/// addressed by their content fingerprint. Implemented by
-/// `ola-store::ArtifactStore`; defined here so the cache (which sits below
-/// the store in the crate graph) can hold one behind a trait object.
-///
-/// Load failures of any kind (missing file, stale model-code version,
-/// corrupt bytes) must surface as `None` and save failures must be
-/// swallowed (warning on stderr) — a broken store degrades to a cold
-/// cache, never a failed run.
-pub trait SimResultStore: Send + Sync {
-    /// Loads a cached analytic layer result, if a valid record exists.
-    fn load_layer_run(&self, key: u64) -> Option<LayerRun>;
-    /// Persists an analytic layer result under `key`.
-    fn save_layer_run(&self, key: u64, run: &LayerRun);
-    /// Loads a cached event-backend result, if a valid record exists.
-    fn load_event_record(&self, key: u64) -> Option<EventRecord>;
-    /// Persists an event-backend result under `key`.
-    fn save_event_record(&self, key: u64, record: &EventRecord);
 }
 
 /// A point-in-time snapshot of [`SimCache`] hit/miss counters.
@@ -148,15 +127,8 @@ impl SimStats {
 /// determinism argument.
 #[derive(Default)]
 pub struct SimCache {
-    runs: Mutex<HashMap<u64, Slot<LayerRun>>>,
-    events: Mutex<HashMap<u64, Slot<EventRecord>>>,
-    store: Mutex<Option<Arc<dyn SimResultStore>>>,
-    run_hits: AtomicU64,
-    run_misses: AtomicU64,
-    event_hits: AtomicU64,
-    event_misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
+    runs: Stage<LayerRun>,
+    events: Stage<EventRecord>,
 }
 
 impl SimCache {
@@ -172,39 +144,21 @@ impl SimCache {
         GLOBAL.get_or_init(SimCache::new)
     }
 
-    /// Attaches (or, with `None`, detaches) the persistent disk tier.
-    /// Misses read through to the store before simulating and fresh
-    /// results write through after; already-resident entries are
-    /// unaffected.
-    pub fn set_store(&self, store: Option<Arc<dyn SimResultStore>>) {
-        *lock_unpoisoned(&self.store) = store;
-    }
-
-    fn store(&self) -> Option<Arc<dyn SimResultStore>> {
-        lock_unpoisoned(&self.store).clone()
+    /// Attaches (or, with `None`, detaches) the persistent tier of both
+    /// stages. Already-resident entries are unaffected.
+    pub fn set_store<S>(&self, store: Option<Arc<S>>)
+    where
+        S: Tier<LayerRun> + Tier<EventRecord> + 'static,
+    {
+        self.runs.set_tier(store.clone().map(|s| s as _));
+        self.events.set_tier(store.map(|s| s as _));
     }
 
     /// Fetches or computes (exactly once per key, process-wide) the
     /// analytic simulation result for `key`. `build` must be a pure
     /// function of the inputs folded into `key`.
     pub fn layer_run(&self, key: u64, build: impl FnOnce() -> LayerRun) -> Arc<LayerRun> {
-        let (value, fill) = fill_slot(&self.runs, key, || {
-            let store = self.store();
-            if let Some(store) = &store {
-                let loaded = timing::timed(timing::Phase::Load, || store.load_layer_run(key));
-                if let Some(run) = loaded {
-                    return (Arc::new(run), Fill::Disk);
-                }
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let run = build();
-            if let Some(store) = &store {
-                store.save_layer_run(key, &run);
-            }
-            (Arc::new(run), Fill::Built)
-        });
-        self.count_fill(fill, &self.run_hits, &self.run_misses);
-        value
+        self.runs.get(key, build)
     }
 
     /// Fetches or computes (exactly once per key, process-wide) the
@@ -212,43 +166,19 @@ impl SimCache {
     /// [`SimCache::layer_run`] — the event stream's seed must be folded
     /// into the key.
     pub fn event_record(&self, key: u64, build: impl FnOnce() -> EventRecord) -> EventRecord {
-        let (value, fill) = fill_slot(&self.events, key, || {
-            let store = self.store();
-            if let Some(store) = &store {
-                let loaded = timing::timed(timing::Phase::Load, || store.load_event_record(key));
-                if let Some(rec) = loaded {
-                    return (Arc::new(rec), Fill::Disk);
-                }
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let rec = build();
-            if let Some(store) = &store {
-                store.save_event_record(key, &rec);
-            }
-            (Arc::new(rec), Fill::Built)
-        });
-        self.count_fill(fill, &self.event_hits, &self.event_misses);
-        *value
-    }
-
-    /// Folds one fill outcome into the counters.
-    fn count_fill(&self, fill: Option<Fill>, hits: &AtomicU64, misses: &AtomicU64) {
-        match fill {
-            None => hits.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Built) => misses.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Disk) => self.disk_hits.fetch_add(1, Ordering::Relaxed),
-        };
+        *self.events.get(key, build)
     }
 
     /// Snapshots the hit/miss counters.
     pub fn stats(&self) -> SimStats {
+        let (runs, events) = (self.runs.stats(), self.events.stats());
         SimStats {
-            run_hits: self.run_hits.load(Ordering::Relaxed),
-            run_misses: self.run_misses.load(Ordering::Relaxed),
-            event_hits: self.event_hits.load(Ordering::Relaxed),
-            event_misses: self.event_misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
+            run_hits: runs.hits,
+            run_misses: runs.built,
+            event_hits: events.hits,
+            event_misses: events.built,
+            disk_hits: runs.disk_hits + events.disk_hits,
+            disk_misses: runs.disk_misses + events.disk_misses,
         }
     }
 
@@ -256,18 +186,8 @@ impl SimCache {
     /// frees the memory of a long-lived process between suites). The disk
     /// tier, if attached, stays attached.
     pub fn reset(&self) {
-        // Take both map locks for the whole reset so a concurrent request
-        // can't observe cleared stats against a still-populated map.
-        let mut runs = lock_unpoisoned(&self.runs);
-        let mut events = lock_unpoisoned(&self.events);
-        runs.clear();
-        events.clear();
-        self.run_hits.store(0, Ordering::Relaxed);
-        self.run_misses.store(0, Ordering::Relaxed);
-        self.event_hits.store(0, Ordering::Relaxed);
-        self.event_misses.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.disk_misses.store(0, Ordering::Relaxed);
+        self.runs.reset();
+        self.events.reset();
     }
 }
 
@@ -275,81 +195,53 @@ impl SimCache {
 mod tests {
     use super::*;
 
+    fn run() -> LayerRun {
+        LayerRun {
+            name: "l".to_string(),
+            cycles: 100,
+            energy: Default::default(),
+            utilization: Utilization::default(),
+            chunk_cycle_hist: vec![1, 2, 3],
+        }
+    }
+
     #[test]
     fn layer_runs_compute_once_per_key() {
         let cache = SimCache::new();
-        let mut builds = 0u32;
         for _ in 0..3 {
-            let run = cache.layer_run(11, || {
-                builds += 1;
-                LayerRun {
-                    name: "l".to_string(),
-                    cycles: 100,
-                    energy: Default::default(),
-                    utilization: Utilization {
-                        run_cycles: 60,
-                        skip_cycles: 20,
-                        idle_cycles: 20,
-                    },
-                    chunk_cycle_hist: vec![1, 2, 3],
-                }
-            });
-            assert_eq!(run.cycles, 100);
+            assert_eq!(cache.layer_run(11, run).cycles, 100);
         }
-        assert_eq!(builds, 1);
         let s = cache.stats();
-        assert_eq!(s.run_misses, 1);
-        assert_eq!(s.run_hits, 2);
+        assert_eq!((s.run_misses, s.run_hits, s.event_misses), (1, 2, 0));
     }
 
     #[test]
     fn event_records_compute_once_per_key() {
         let cache = SimCache::new();
-        let mut builds = 0u32;
+        let rec = EventRecord {
+            cycles: 7,
+            ..EventRecord::default()
+        };
         for _ in 0..2 {
-            let rec = cache.event_record(5, || {
-                builds += 1;
-                EventRecord {
-                    cycles: 7,
-                    utilization: Utilization {
-                        run_cycles: 4,
-                        skip_cycles: 1,
-                        idle_cycles: 2,
-                    },
-                    outlier_busy: 3,
-                }
-            });
-            assert_eq!(rec.cycles, 7);
+            assert_eq!(cache.event_record(5, || rec), rec);
         }
-        assert_eq!(builds, 1);
         let s = cache.stats();
-        assert_eq!(s.event_misses, 1);
-        assert_eq!(s.event_hits, 1);
-    }
-
-    #[test]
-    fn distinct_keys_get_distinct_entries() {
-        let cache = SimCache::new();
-        let a = cache.event_record(1, || EventRecord {
-            cycles: 1,
-            ..Default::default()
-        });
-        let b = cache.event_record(2, || EventRecord {
-            cycles: 2,
-            ..Default::default()
-        });
-        assert_ne!(a.cycles, b.cycles);
-        assert_eq!(cache.stats().event_misses, 2);
+        assert_eq!((s.event_misses, s.event_hits, s.run_misses), (1, 1, 0));
     }
 
     #[test]
     fn reset_clears_entries_and_counters() {
         let cache = SimCache::new();
-        let _ = cache.event_record(9, EventRecord::default);
+        let fill = || {
+            cache.event_record(9, EventRecord::default);
+            cache.layer_run(9, run);
+        };
+        fill();
         cache.reset();
         assert_eq!(cache.stats(), SimStats::default());
-        let _ = cache.event_record(9, EventRecord::default);
-        assert_eq!(cache.stats().event_misses, 1);
+        fill();
+        let s = cache.stats();
+        assert_eq!((s.event_misses, s.run_misses), (1, 1));
     }
 
     #[test]
@@ -357,7 +249,7 @@ mod tests {
         assert!(model_jobs() >= 1);
         set_model_jobs(3);
         assert_eq!(model_jobs(), 3);
-        set_model_jobs(crate::par::default_jobs());
+        set_model_jobs(ola_tensor::par::default_jobs());
     }
 
     #[test]

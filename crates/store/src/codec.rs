@@ -1,5 +1,6 @@
-//! (De)serialization of the workspace's prepared-network and workload
-//! artifacts onto the [`crate::wire`] primitives.
+//! (De)serialization of the workspace's artifacts — parameters,
+//! activations, workload sets, simulation and accuracy records — onto the
+//! [`crate::wire`] primitives.
 //!
 //! Every float travels by bit pattern, so a decoded artifact is
 //! *bit-identical* to the one that was encoded — the property that lets a
@@ -89,15 +90,6 @@ fn encode_weight_store(w: &mut Writer, ws: &WeightStore) {
             w.f64(g.sparsity());
             w.u64(g.base_seed());
         }
-    }
-}
-
-#[cfg(test)]
-fn decode_weight_store(r: &mut Reader<'_>) -> Result<WeightStore, StoreError> {
-    match r.u8()? {
-        WS_DENSE => Ok(WeightStore::Dense(decode_tensor(r)?)),
-        WS_ROWGEN => decode_rowgen_body(r),
-        other => Err(corrupt(format!("unknown weight-store tag {other}"))),
     }
 }
 
@@ -249,24 +241,6 @@ pub fn decode_policy(r: &mut Reader<'_>) -> Result<QuantPolicy, StoreError> {
         first_layer,
         select,
     })
-}
-
-/// A policy's content-address fingerprint: the FNV of its canonical
-/// encoding, with the outlier ratio folded the same way the in-memory
-/// cache key folds it (`-0.0` onto `0.0`, every NaN onto the quiet NaN) so
-/// policies that extract identically share one artifact.
-pub fn policy_fingerprint(p: &QuantPolicy) -> u64 {
-    let mut canon = *p;
-    canon.outlier_ratio = if canon.outlier_ratio == 0.0 {
-        0.0
-    } else if canon.outlier_ratio.is_nan() {
-        f64::from_bits(0x7ff8_0000_0000_0000)
-    } else {
-        canon.outlier_ratio
-    };
-    let mut w = Writer::new();
-    encode_policy(&mut w, &canon);
-    crate::wire::fnv1a64(&w.into_bytes())
 }
 
 // --- workload sets ---
@@ -474,54 +448,50 @@ pub fn decode_eval_record(r: &mut Reader<'_>) -> Result<QuantAccuracy, StoreErro
 mod tests {
     use super::*;
 
+    /// Encodes `v`, decodes it back (consuming every byte) and checks that
+    /// the decoded value re-encodes to the same bytes: bit-exact identity.
+    fn round_trip<T>(
+        v: &T,
+        enc: fn(&mut Writer, &T),
+        dec: fn(&mut Reader<'_>) -> Result<T, StoreError>,
+    ) -> T {
+        let encode = |v: &T| {
+            let mut w = Writer::new();
+            enc(&mut w, v);
+            w.into_bytes()
+        };
+        let buf = encode(v);
+        let mut r = Reader::new(&buf);
+        let back = dec(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(encode(&back), buf, "re-encoding must be bit-identical");
+        back
+    }
+
     #[test]
     fn tensor_codec_round_trips_bits() {
         let t = Tensor::from_vec(
             Shape4::new(1, 2, 2, 2),
             vec![0.0, -0.0, f32::NAN, 1.5, -2.5, f32::INFINITY, 3.0, -4.0],
         );
-        let mut w = Writer::new();
-        encode_tensor(&mut w, &t);
-        let buf = w.into_bytes();
-        let mut r = Reader::new(&buf);
-        let back = decode_tensor(&mut r).unwrap();
-        r.finish().unwrap();
-        let a: Vec<u32> = t.as_slice().iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = back.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b);
-        assert_eq!(back.shape(), t.shape());
+        assert_eq!(
+            round_trip(&t, encode_tensor, decode_tensor).shape(),
+            t.shape()
+        );
     }
 
     #[test]
     fn params_codec_round_trips_every_store_kind() {
         let mut params = Params::sized(4);
-        params.set_weights(
-            1,
-            WeightStore::Dense(Tensor::from_vec(
-                Shape4::new(2, 1, 1, 2),
-                vec![1.0, -2.0, 0.0, 4.5],
-            )),
-        );
+        let dense = Tensor::from_vec(Shape4::new(2, 1, 1, 2), vec![1.0, -2.0, 0.0, 4.5]);
+        params.set_weights(1, WeightStore::Dense(dense));
         params.set_bias(1, vec![0.5, -0.5]);
-        params.set_weights(
-            2,
-            WeightStore::RowGen(SyntheticMatrix::new(
-                8,
-                16,
-                HeavyTailed::new(0.02, 0.03, 6.0),
-                0.9,
-                1234,
-            )),
-        );
+        let dist = HeavyTailed::new(0.02, 0.03, 6.0);
+        let rowgen = SyntheticMatrix::new(8, 16, dist, 0.9, 1234);
+        params.set_weights(2, WeightStore::RowGen(rowgen));
         params.set_bn(3, vec![1.0, 2.0], vec![-1.0, -2.0]);
 
-        let mut w = Writer::new();
-        encode_params(&mut w, &params);
-        let buf = w.into_bytes();
-        let mut r = Reader::new(&buf);
-        let back = decode_params(&mut r).unwrap();
-        r.finish().unwrap();
-
+        let back = round_trip(&params, encode_params, decode_params);
         assert_eq!(back.len(), 4);
         assert!(back.weights(0).is_none());
         match (params.weights(2).unwrap(), back.weights(2).unwrap()) {
@@ -541,50 +511,19 @@ mod tests {
 
     #[test]
     fn policy_codec_round_trips() {
+        let mut windowed = QuantPolicy::olaccel16("vgg16");
+        windowed.select = OutlierSelect::WindowedTopK { window: 16 };
+        let mut weighted = QuantPolicy::olaccel16("alexnet");
+        weighted.select = OutlierSelect::SensitivityWeighted { window: 8 };
+        weighted.outlier_ratio = 0.0;
         for p in [
             QuantPolicy::olaccel16("alexnet"),
             QuantPolicy::olaccel8("resnet18"),
-            {
-                let mut p = QuantPolicy::olaccel16("vgg16");
-                p.select = OutlierSelect::WindowedTopK { window: 16 };
-                p
-            },
-            {
-                let mut p = QuantPolicy::olaccel16("alexnet");
-                p.select = OutlierSelect::SensitivityWeighted { window: 8 };
-                p.outlier_ratio = 0.0;
-                p
-            },
+            windowed,
+            weighted,
         ] {
-            let mut w = Writer::new();
-            encode_policy(&mut w, &p);
-            let buf = w.into_bytes();
-            let mut r = Reader::new(&buf);
-            let back = decode_policy(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(back, p);
+            assert_eq!(round_trip(&p, encode_policy, decode_policy), p);
         }
-    }
-
-    #[test]
-    fn policy_fingerprint_canonicalizes_f64_noise() {
-        let mut a = QuantPolicy::olaccel16("alexnet");
-        let mut b = a;
-        a.outlier_ratio = 0.0;
-        b.outlier_ratio = -0.0;
-        assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
-        a.outlier_ratio = f64::NAN;
-        b.outlier_ratio = -f64::NAN;
-        assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
-        b.outlier_ratio = 0.01;
-        assert_ne!(policy_fingerprint(&a), policy_fingerprint(&b));
-        let mut c = QuantPolicy::olaccel16("alexnet");
-        c.select = OutlierSelect::WindowedTopK { window: 16 };
-        assert_ne!(
-            policy_fingerprint(&QuantPolicy::olaccel16("alexnet")),
-            policy_fingerprint(&c),
-            "selection rule must change the fingerprint"
-        );
     }
 
     #[test]
@@ -605,19 +544,7 @@ mod tests {
             },
             chunk_cycle_hist: vec![0, 7, 0, 3],
         };
-        let mut w = Writer::new();
-        encode_layer_run(&mut w, &run);
-        let buf = w.into_bytes();
-        let mut r = Reader::new(&buf);
-        let back = decode_layer_run(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.name, run.name);
-        assert_eq!(back.cycles, run.cycles);
-        assert_eq!(back.energy.dram.to_bits(), run.energy.dram.to_bits());
-        assert_eq!(back.energy.buffer.to_bits(), run.energy.buffer.to_bits());
-        assert_eq!(back.energy.local.to_bits(), run.energy.local.to_bits());
-        assert_eq!(back.energy.logic.to_bits(), run.energy.logic.to_bits());
-        assert_eq!(back.utilization, run.utilization);
+        let back = round_trip(&run, encode_layer_run, decode_layer_run);
         assert_eq!(back.chunk_cycle_hist, run.chunk_cycle_hist);
     }
 
@@ -628,18 +555,8 @@ mod tests {
             topk: -0.0, // adversarial: bit pattern must survive
             realized_weight_ratio: f64::NAN,
         };
-        let mut w = Writer::new();
-        encode_eval_record(&mut w, &acc);
-        let buf = w.into_bytes();
-        let mut r = Reader::new(&buf);
-        let back = decode_eval_record(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.top1.to_bits(), acc.top1.to_bits());
+        let back = round_trip(&acc, encode_eval_record, decode_eval_record);
         assert_eq!(back.topk.to_bits(), acc.topk.to_bits());
-        assert_eq!(
-            back.realized_weight_ratio.to_bits(),
-            acc.realized_weight_ratio.to_bits()
-        );
     }
 
     #[test]
@@ -653,24 +570,22 @@ mod tests {
             },
             outlier_busy: 11,
         };
-        let mut w = Writer::new();
-        encode_event_record(&mut w, &rec);
-        let buf = w.into_bytes();
-        let mut r = Reader::new(&buf);
-        let back = decode_event_record(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, rec);
+        assert_eq!(
+            round_trip(&rec, encode_event_record, decode_event_record),
+            rec
+        );
     }
 
     #[test]
     fn corrupt_tags_are_errors_not_panics() {
+        // One node whose weight-store tag is bogus.
         let mut w = Writer::new();
-        w.u8(9); // bogus weight-store tag
+        w.len(1);
+        for b in [9, 0, 0] {
+            w.u8(b);
+        }
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
-        assert!(matches!(
-            decode_weight_store(&mut r),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(decode_params(&mut r), Err(StoreError::Corrupt(_))));
     }
 }

@@ -10,14 +10,15 @@
 //! workspace's deterministic RNG. This crate persists them to disk so a
 //! second process (or a long-lived daemon) skips straight to modeling:
 //!
-//! - [`wire`]: little-endian writer/reader primitives plus the FNV-1a
-//!   checksum; decoding never panics on malformed bytes.
-//! - [`codec`]: bit-exact (de)serialization of parameters, activations and
-//!   workload sets, plus the policy fingerprint.
-//! - [`version`]: the compile-time source-text hash that content-addresses
+//! - [`wire`]: little-endian writer/reader primitives; decoding never
+//!   panics on malformed bytes.
+//! - [`codec`]: bit-exact (de)serialization of parameters, activations,
+//!   workload sets and simulation/accuracy records.
+//! - [`version`]: the compile-time source-text hashes that content-address
 //!   artifacts to the code that produced them — editing any
-//!   extraction-relevant file silently invalidates the cache.
-//! - [`store`]: the framed, checksummed, atomically-committed files.
+//!   artifact-relevant file silently invalidates the cache.
+//! - [`store`]: the [`Artifact`] trait and the framed, checksummed,
+//!   atomically-committed files behind every cache's disk tier.
 //!
 //! Corruption is always recoverable: a bad file surfaces as
 //! [`StoreError::Corrupt`] and callers recompute (and overwrite), never
@@ -28,10 +29,9 @@ pub mod store;
 pub mod version;
 pub mod wire;
 
-pub use codec::policy_fingerprint;
-pub use store::ArtifactStore;
+pub use store::{Artifact, ArtifactStore};
 pub use version::{code_version, eval_version, model_version, FORMAT_VERSION};
-pub use wire::{fnv1a64, StoreError};
+pub use wire::StoreError;
 
 /// A unique scratch directory under the system temp dir for unit tests
 /// (process-id + monotonic counter — no wall clock, no RNG).

@@ -1,88 +1,103 @@
 //! The on-disk artifact store: framed, checksummed, atomically-committed
-//! files keyed by `(network, scale, seed, policy, code version)`.
+//! files, one per record, addressed by `(record type, key, version)`.
+//!
+//! Every record type implements [`Artifact`] — its kind byte, filename
+//! prefix, version fold and payload codec — and one generic
+//! [`Tier`] impl serves them all to the caches' [`ola_tensor::memo::Stage`]s.
+//! A record lives at `{prefix}-{key:016x}-v{version:016x}.olas`, where
+//! `key` is the stage's content fingerprint and `version` the record
+//! type's source fold, so no caller-supplied string ever reaches a path.
 //!
 //! File layout (little-endian throughout):
 //!
 //! ```text
 //! magic        4 bytes  "OLAS"
 //! format       u32      FORMAT_VERSION
-//! kind         u8       1 = prepared network, 2 = workload set,
-//!                       3 = analytic sim record, 4 = event sim record,
-//!                       5 = accuracy-eval record
-//! network      string   length-prefixed UTF-8 ("" for sim/eval records)
-//! scale        u64      spatial scale divisor (0 for sim/eval records)
-//! seed         u64      preparation seed; for sim/eval records, the
-//!                       SimCache/EvalCache content fingerprint
-//! policy_fp    u64      policy fingerprint (0 for prepared networks and
-//!                       sim/eval records)
-//! code         u64      version fingerprint at write time (code_version
-//!                       for preparation artifacts, model_version for sim
-//!                       records, eval_version for eval records)
+//! kind         u8       Artifact::KIND
+//! key          u64      the stage's content fingerprint
+//! version      u64      Artifact::version() at write time
 //! payload_len  u64
 //! checksum     u64      FNV-1a over the payload bytes
 //! payload      payload_len bytes
 //! ```
 //!
-//! The key fields live both in the *filename* (so a stale code version
+//! The key and version live both in the *filename* (so a stale version
 //! simply never hits) and in the *header* (so a renamed or hand-copied
-//! file still can't be served under the wrong key). Writes go to a
+//! file still can't be served under the wrong key or kind). Writes go to a
 //! temporary file in the same directory and commit with an atomic
 //! `rename`, so a concurrent reader either sees the complete artifact or
 //! no artifact — never a torn one.
 
 use crate::codec::{
-    decode_eval_record, decode_event_record, decode_layer_run, decode_params, decode_tensor,
-    decode_workload_set, encode_eval_record, encode_event_record, encode_layer_run, encode_params,
-    encode_tensor, encode_workload_set, policy_fingerprint,
+    decode_eval_record, decode_event_record, decode_layer_run, decode_workload_set,
+    encode_eval_record, encode_event_record, encode_layer_run, encode_workload_set,
 };
 use crate::version::{code_version, eval_version, model_version, FORMAT_VERSION};
-use crate::wire::{corrupt, fnv1a64, Reader, StoreError, Writer};
-use ola_nn::Params;
+use crate::wire::{corrupt, Reader, StoreError, Writer};
 use ola_quant::accuracy::QuantAccuracy;
-use ola_quant::EvalResultStore;
 use ola_sim::timing;
 use ola_sim::workload::WorkloadSet;
-use ola_sim::{EventRecord, LayerRun, QuantPolicy, SimResultStore};
-use ola_tensor::Tensor;
+use ola_sim::{EventRecord, LayerRun};
+use ola_tensor::memo::{fnv1a64, Tier};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC: &[u8; 4] = b"OLAS";
-const KIND_PREPARED: u8 = 1;
-const KIND_WORKLOADS: u8 = 2;
-const KIND_SIM_RUN: u8 = 3;
-const KIND_SIM_EVENT: u8 = 4;
-const KIND_EVAL: u8 = 5;
 
 /// Distinguishes concurrent writers' temporary files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// A record type the store persists.
+pub trait Artifact: Sized + Send + Sync {
+    /// The header kind byte, unique per record type.
+    const KIND: u8;
+    /// The filename prefix, unique per record type.
+    const PREFIX: &'static str;
+    /// The source fold a record must have been written under (see
+    /// [`crate::version`]); any other version is stale.
+    fn version() -> u64;
+    /// Encodes the payload.
+    fn encode(&self, w: &mut Writer);
+    /// Decodes a payload written by [`Artifact::encode`]. Must never
+    /// panic: malformed bytes surface as [`StoreError::Corrupt`].
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError>;
+}
+
+/// Implements [`Artifact`] for each listed record type over its codec
+/// pair: `type => kind, prefix, version fold, encode, decode;`.
+macro_rules! artifacts {
+    ($($record:ty => $kind:literal, $prefix:literal, $version:path, $encode:path, $decode:path;)*) => {$(
+        impl Artifact for $record {
+            const KIND: u8 = $kind;
+            const PREFIX: &'static str = $prefix;
+            fn version() -> u64 {
+                $version()
+            }
+            fn encode(&self, w: &mut Writer) {
+                $encode(w, self)
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+                $decode(r)
+            }
+        }
+    )*};
+}
+
+// Kind 1, the prepared network (`prep`), is implemented where that type
+// lives, in the harness.
+artifacts! {
+    WorkloadSet => 2, "ws", code_version, encode_workload_set, decode_workload_set;
+    LayerRun => 3, "simrun", model_version, encode_layer_run, decode_layer_run;
+    EventRecord => 4, "simev", model_version, encode_event_record, decode_event_record;
+    QuantAccuracy => 5, "eval", eval_version, encode_eval_record, decode_eval_record;
+}
 
 /// A directory of content-addressed artifacts.
 #[derive(Debug, Clone)]
 pub struct ArtifactStore {
     dir: PathBuf,
-    code: u64,
-    model: u64,
-    eval: u64,
-}
-
-/// The identifying key of one artifact. `code` is the version fingerprint
-/// the record must have been written under — [`crate::version::code_version`]
-/// for preparation artifacts, [`crate::version::model_version`] for
-/// simulation records (so a model edit invalidates sim records without
-/// discarding still-valid prepared networks, and vice versa). For sim
-/// records, `seed` carries the content fingerprint computed by the
-/// `SimCache` caller and the remaining fields are inert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Key<'a> {
-    kind: u8,
-    network: &'a str,
-    scale: usize,
-    seed: u64,
-    policy_fp: u64,
-    code: u64,
 }
 
 impl ArtifactStore {
@@ -91,9 +106,6 @@ impl ArtifactStore {
         fs::create_dir_all(dir)?;
         Ok(ArtifactStore {
             dir: dir.to_path_buf(),
-            code: code_version(),
-            model: model_version(),
-            eval: eval_version(),
         })
     }
 
@@ -102,289 +114,29 @@ impl ArtifactStore {
         &self.dir
     }
 
-    /// Path of a prepared-network artifact for this code version.
-    pub fn prepared_path(&self, network: &str, scale: usize, seed: u64) -> PathBuf {
+    /// Where the current-version record of type `V` under `key` lives.
+    pub fn path<V: Artifact>(&self, key: u64) -> PathBuf {
         self.dir.join(format!(
-            "prep-{network}-s{scale}-{seed:016x}-v{:016x}.olas",
-            self.code
+            "{}-{key:016x}-v{:016x}.olas",
+            V::PREFIX,
+            V::version()
         ))
     }
 
-    /// Path of a workload-set artifact for this code version.
-    pub fn workloads_path(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-        policy: &QuantPolicy,
-    ) -> PathBuf {
-        self.dir.join(format!(
-            "ws-{network}-s{scale}-{seed:016x}-p{:016x}-v{:016x}.olas",
-            policy_fingerprint(policy),
-            self.code
-        ))
-    }
-
-    /// Persists a prepared network (parameters + forward activations).
-    pub fn save_prepared(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-        params: &Params,
-        acts: &[Tensor],
-    ) -> Result<(), StoreError> {
+    /// Frames `value` with the header and atomically commits it via a
+    /// same-directory temporary file + `rename`.
+    fn write<V: Artifact>(&self, key: u64, value: &V) -> Result<(), StoreError> {
         let mut payload = Writer::new();
-        encode_params(&mut payload, params);
-        payload.len(acts.len());
-        for t in acts {
-            encode_tensor(&mut payload, t);
-        }
-        self.commit(
-            &self.prepared_path(network, scale, seed),
-            Key {
-                kind: KIND_PREPARED,
-                network,
-                scale,
-                seed,
-                policy_fp: 0,
-                code: self.code,
-            },
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads a prepared network. `Ok(None)` means "not stored" (including
-    /// "stored by a different code version" — the filename won't match);
-    /// `Err(Corrupt)` means the file exists but its bytes can't be
-    /// trusted, and the caller should recompute.
-    #[allow(clippy::type_complexity)]
-    pub fn load_prepared(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-    ) -> Result<Option<(Params, Vec<Tensor>)>, StoreError> {
-        let Some(payload) = self.read_verified(
-            &self.prepared_path(network, scale, seed),
-            Key {
-                kind: KIND_PREPARED,
-                network,
-                scale,
-                seed,
-                policy_fp: 0,
-                code: self.code,
-            },
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let params = decode_params(&mut r)?;
-        let n = r.len(8)?;
-        let mut acts = Vec::with_capacity(n);
-        for _ in 0..n {
-            acts.push(decode_tensor(&mut r)?);
-        }
-        r.finish()?;
-        Ok(Some((params, acts)))
-    }
-
-    /// Persists a workload set under its extraction key.
-    pub fn save_workloads(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-        ws: &WorkloadSet,
-    ) -> Result<(), StoreError> {
-        let mut payload = Writer::new();
-        encode_workload_set(&mut payload, ws);
-        self.commit(
-            &self.workloads_path(network, scale, seed, &ws.policy),
-            Key {
-                kind: KIND_WORKLOADS,
-                network,
-                scale,
-                seed,
-                policy_fp: policy_fingerprint(&ws.policy),
-                code: self.code,
-            },
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads a workload set; same `Ok(None)` / `Err(Corrupt)` contract as
-    /// [`ArtifactStore::load_prepared`].
-    pub fn load_workloads(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-        policy: &QuantPolicy,
-    ) -> Result<Option<WorkloadSet>, StoreError> {
-        let Some(payload) = self.read_verified(
-            &self.workloads_path(network, scale, seed, policy),
-            Key {
-                kind: KIND_WORKLOADS,
-                network,
-                scale,
-                seed,
-                policy_fp: policy_fingerprint(policy),
-                code: self.code,
-            },
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let ws = decode_workload_set(&mut r)?;
-        r.finish()?;
-        Ok(Some(ws))
-    }
-
-    /// Path of a per-layer analytic simulation record for this model
-    /// version. `key` is the `SimCache` content fingerprint.
-    pub fn sim_run_path(&self, key: u64) -> PathBuf {
-        self.dir
-            .join(format!("simrun-{key:016x}-v{:016x}.olas", self.model))
-    }
-
-    /// Path of an event-backend simulation record for this model version.
-    pub fn sim_event_path(&self, key: u64) -> PathBuf {
-        self.dir
-            .join(format!("simev-{key:016x}-v{:016x}.olas", self.model))
-    }
-
-    /// The header key of a sim record: the content fingerprint rides in
-    /// the `seed` slot, the version check uses the model fingerprint.
-    fn sim_header_key(&self, kind: u8, key: u64) -> Key<'static> {
-        Key {
-            kind,
-            network: "",
-            scale: 0,
-            seed: key,
-            policy_fp: 0,
-            code: self.model,
-        }
-    }
-
-    /// Persists a per-layer analytic simulation result under its content
-    /// fingerprint.
-    pub fn save_sim_run(&self, key: u64, run: &LayerRun) -> Result<(), StoreError> {
-        let mut payload = Writer::new();
-        encode_layer_run(&mut payload, run);
-        self.commit(
-            &self.sim_run_path(key),
-            self.sim_header_key(KIND_SIM_RUN, key),
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads a per-layer analytic simulation result; same `Ok(None)` /
-    /// `Err(Corrupt)` contract as [`ArtifactStore::load_prepared`].
-    pub fn load_sim_run(&self, key: u64) -> Result<Option<LayerRun>, StoreError> {
-        let Some(payload) = self.read_verified(
-            &self.sim_run_path(key),
-            self.sim_header_key(KIND_SIM_RUN, key),
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let run = decode_layer_run(&mut r)?;
-        r.finish()?;
-        Ok(Some(run))
-    }
-
-    /// Persists an event-backend simulation result under its content
-    /// fingerprint.
-    pub fn save_sim_event(&self, key: u64, rec: &EventRecord) -> Result<(), StoreError> {
-        let mut payload = Writer::new();
-        encode_event_record(&mut payload, rec);
-        self.commit(
-            &self.sim_event_path(key),
-            self.sim_header_key(KIND_SIM_EVENT, key),
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads an event-backend simulation result; same `Ok(None)` /
-    /// `Err(Corrupt)` contract as [`ArtifactStore::load_prepared`].
-    pub fn load_sim_event(&self, key: u64) -> Result<Option<EventRecord>, StoreError> {
-        let Some(payload) = self.read_verified(
-            &self.sim_event_path(key),
-            self.sim_header_key(KIND_SIM_EVENT, key),
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let rec = decode_event_record(&mut r)?;
-        r.finish()?;
-        Ok(Some(rec))
-    }
-
-    /// Path of an accuracy-eval record for this eval version. `key` is
-    /// the `EvalCache` content fingerprint.
-    pub fn eval_path(&self, key: u64) -> PathBuf {
-        self.dir
-            .join(format!("eval-{key:016x}-v{:016x}.olas", self.eval))
-    }
-
-    /// The header key of an eval record: the content fingerprint rides in
-    /// the `seed` slot, the version check uses the eval fingerprint.
-    fn eval_header_key(&self, key: u64) -> Key<'static> {
-        Key {
-            kind: KIND_EVAL,
-            network: "",
-            scale: 0,
-            seed: key,
-            policy_fp: 0,
-            code: self.eval,
-        }
-    }
-
-    /// Persists a quantized-accuracy record under its content fingerprint.
-    pub fn save_eval_record(&self, key: u64, acc: &QuantAccuracy) -> Result<(), StoreError> {
-        let mut payload = Writer::new();
-        encode_eval_record(&mut payload, acc);
-        self.commit(
-            &self.eval_path(key),
-            self.eval_header_key(key),
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads a quantized-accuracy record; same `Ok(None)` / `Err(Corrupt)`
-    /// contract as [`ArtifactStore::load_prepared`].
-    pub fn load_eval_record(&self, key: u64) -> Result<Option<QuantAccuracy>, StoreError> {
-        let Some(payload) = self.read_verified(&self.eval_path(key), self.eval_header_key(key))?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let acc = decode_eval_record(&mut r)?;
-        r.finish()?;
-        Ok(Some(acc))
-    }
-
-    /// Frames `payload` with the header and atomically commits it at
-    /// `path` via a same-directory temporary file + `rename`.
-    fn commit(&self, path: &Path, key: Key<'_>, payload: Vec<u8>) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        w.raw(MAGIC);
-        w.u32(FORMAT_VERSION);
-        w.u8(key.kind);
-        w.string(key.network);
-        w.u64(key.scale as u64);
-        w.u64(key.seed);
-        w.u64(key.policy_fp);
-        w.u64(key.code);
-        w.len(payload.len());
-        w.u64(fnv1a64(&payload));
-        w.raw(&payload);
-        let bytes = w.into_bytes();
+        value.encode(&mut payload);
+        let payload = payload.into_bytes();
+        let mut header = Writer::new();
+        header.raw(MAGIC);
+        header.u32(FORMAT_VERSION);
+        header.u8(V::KIND);
+        header.u64(key);
+        header.u64(V::version());
+        header.len(payload.len());
+        header.u64(fnv1a64(&payload));
 
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
@@ -392,23 +144,25 @@ impl ArtifactStore {
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let mut f = fs::File::create(&tmp)?;
-        let written = f.write_all(&bytes).and_then(|()| f.sync_all());
+        let written = f
+            .write_all(&header.into_bytes())
+            .and_then(|()| f.write_all(&payload))
+            .and_then(|()| f.sync_all());
         drop(f);
-        if let Err(e) = written {
-            let _ = fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        if let Err(e) = fs::rename(&tmp, path) {
+        if let Err(e) = written.and_then(|()| fs::rename(&tmp, self.path::<V>(key))) {
             let _ = fs::remove_file(&tmp);
             return Err(e.into());
         }
         Ok(())
     }
 
-    /// Reads `path`, verifies magic / format / kind / key / checksum, and
-    /// returns the payload. `Ok(None)` when the file does not exist.
-    fn read_verified(&self, path: &Path, key: Key<'_>) -> Result<Option<Vec<u8>>, StoreError> {
-        let bytes = match fs::read(path) {
+    /// Reads the record of type `V` under `key`, verifying magic, format,
+    /// kind, key, version and checksum before decoding. `Ok(None)` when
+    /// no file exists (including one written under another version — the
+    /// filename won't match); `Err(Corrupt)` when one exists but its bytes
+    /// can't be trusted.
+    fn read<V: Artifact>(&self, key: u64) -> Result<Option<V>, StoreError> {
+        let bytes = match fs::read(self.path::<V>(key)) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
@@ -423,23 +177,10 @@ impl ArtifactStore {
                 "format version {format}, expected {FORMAT_VERSION}"
             )));
         }
-        let kind = r.u8()?;
-        let network = r.string()?;
-        let scale = r.u64()?;
-        let seed = r.u64()?;
-        let policy_fp = r.u64()?;
-        let code = r.u64()?;
-        if kind != key.kind
-            || network != key.network
-            || scale != key.scale as u64
-            || seed != key.seed
-            || policy_fp != key.policy_fp
-        {
+        if r.u8()? != V::KIND || r.u64()? != key {
             return Err(corrupt("artifact key does not match its filename"));
         }
-        if code != key.code {
-            // Can only happen on a renamed/copied file; the filename
-            // normally embeds the code version.
+        if r.u64()? != V::version() {
             return Err(corrupt("artifact written by a different code version"));
         }
         let payload_len = r.len(1)?;
@@ -449,66 +190,39 @@ impl ArtifactStore {
         if fnv1a64(payload) != checksum {
             return Err(corrupt("payload checksum mismatch"));
         }
-        Ok(Some(payload.to_vec()))
+        let mut r = Reader::new(payload);
+        let value = V::decode(&mut r)?;
+        r.finish()?;
+        Ok(Some(value))
     }
 }
 
-/// The `SimCache` persistent tier: the trait's error-swallowing contract
-/// (a broken store degrades to a cold cache, never a failed run) maps the
-/// `Result`-returning methods above onto warn-on-stderr.
-impl SimResultStore for ArtifactStore {
-    fn load_layer_run(&self, key: u64) -> Option<LayerRun> {
-        match self.load_sim_run(key) {
+/// The one disk tier of every cached stage. Loads are timed under
+/// `Phase::Load`; a corrupt, stale or unreadable record warns on stderr
+/// and misses, and a failed write warns — a broken store degrades to a
+/// cold cache, never a failed run.
+impl<V: Artifact> Tier<V> for ArtifactStore {
+    fn load(&self, key: u64) -> Option<V> {
+        match timing::timed(timing::Phase::Load, || self.read::<V>(key)) {
             Ok(found) => found,
             Err(e) => {
-                eprintln!("warning: sim record {key:016x} unreadable ({e}); re-simulating");
+                eprintln!(
+                    "warning: {} record {key:016x} in {} unreadable ({e}); recomputing",
+                    V::PREFIX,
+                    self.dir.display()
+                );
                 None
             }
         }
     }
 
-    fn save_layer_run(&self, key: u64, run: &LayerRun) {
-        if let Err(e) = self.save_sim_run(key, run) {
-            eprintln!("warning: failed to persist sim record {key:016x}: {e}");
-        }
-    }
-
-    fn load_event_record(&self, key: u64) -> Option<EventRecord> {
-        match self.load_sim_event(key) {
-            Ok(found) => found,
-            Err(e) => {
-                eprintln!("warning: event record {key:016x} unreadable ({e}); re-simulating");
-                None
-            }
-        }
-    }
-
-    fn save_event_record(&self, key: u64, record: &EventRecord) {
-        if let Err(e) = self.save_sim_event(key, record) {
-            eprintln!("warning: failed to persist event record {key:016x}: {e}");
-        }
-    }
-}
-
-/// The `EvalCache` persistent tier: same error-swallowing contract as the
-/// [`SimResultStore`] impl above. Loads are timed under `Phase::Load` here
-/// (the cache lives in `ola-quant`, below the timing module, so it can't
-/// record the phase itself).
-impl EvalResultStore for ArtifactStore {
-    fn load_eval(&self, key: u64) -> Option<QuantAccuracy> {
-        let loaded = timing::timed(timing::Phase::Load, || self.load_eval_record(key));
-        match loaded {
-            Ok(found) => found,
-            Err(e) => {
-                eprintln!("warning: eval record {key:016x} unreadable ({e}); re-evaluating");
-                None
-            }
-        }
-    }
-
-    fn save_eval(&self, key: u64, acc: &QuantAccuracy) {
-        if let Err(e) = self.save_eval_record(key, acc) {
-            eprintln!("warning: failed to persist eval record {key:016x}: {e}");
+    fn save(&self, key: u64, value: &V) {
+        if let Err(e) = self.write(key, value) {
+            eprintln!(
+                "warning: failed to persist {} record {key:016x} to {}: {e}",
+                V::PREFIX,
+                self.dir.display()
+            );
         }
     }
 }
@@ -516,32 +230,53 @@ impl EvalResultStore for ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_params, decode_tensor, encode_params, encode_tensor};
     use crate::test_dir;
+    use ola_energy::EnergyBreakdown;
     use ola_nn::network::WeightStore;
+    use ola_nn::Params;
     use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser};
-    use ola_tensor::Shape4;
+    use ola_sim::{QuantPolicy, Utilization};
+    use ola_tensor::{Shape4, Tensor};
 
-    fn sample_params() -> Params {
-        let mut p = Params::sized(2);
-        p.set_weights(
-            0,
-            WeightStore::Dense(Tensor::from_vec(
-                Shape4::new(1, 1, 2, 2),
-                vec![1.0, -1.0, 0.5, 0.0],
-            )),
-        );
-        p.set_bias(0, vec![0.25]);
-        p
+    // The payload parts of a prepared network, whose record type lives in
+    // the harness.
+    artifacts! {
+        Params => 0xB1, "params", code_version, encode_params, decode_params;
+        Tensor => 0xB2, "tensor", code_version, encode_tensor, decode_tensor;
     }
 
-    fn sample_acts() -> Vec<Tensor> {
-        vec![
-            Tensor::from_vec(Shape4::new(1, 1, 1, 3), vec![0.0, -0.0, f32::NAN]),
-            Tensor::from_vec(Shape4::new(1, 2, 1, 1), vec![7.0, -8.0]),
-        ]
+    /// An encoded payload: equal bytes mean bitwise-equal records.
+    fn payload<V: Artifact>(v: &V) -> Vec<u8> {
+        let mut w = Writer::new();
+        v.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// `v` reads back bit-identical under its key, and another key misses
+    /// without touching it.
+    fn round_trip<V: Artifact>(tag: &str, v: &V) {
+        let store = ArtifactStore::open(&test_dir(tag)).unwrap();
+        assert!(store.read::<V>(9).unwrap().is_none());
+        store.write(9, v).unwrap();
+        assert_eq!(payload(&store.read::<V>(9).unwrap().unwrap()), payload(v));
+        assert!(store.read::<V>(10).unwrap().is_none());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Flips the last payload byte of `V`'s record under `key`: the direct
+    /// read reports corruption, the tier warns and misses.
+    fn corrupt_last_byte<V: Artifact>(store: &ArtifactStore, key: u64) {
+        let path = store.path::<V>(key);
+        let mut bytes = fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(store.read::<V>(key), Err(StoreError::Corrupt(_))));
+        assert!(Tier::<V>::load(store, key).is_none());
     }
 
     fn sample_workloads() -> WorkloadSet {
+        let shape = |c, h| Shape4Ser { n: 1, c, h, w: h };
         WorkloadSet {
             network: "alexnet".into(),
             policy: QuantPolicy::olaccel16("alexnet"),
@@ -549,18 +284,8 @@ mod tests {
                 name: "conv1".into(),
                 index: 0,
                 kind: LayerKind::Conv,
-                in_shape: Shape4Ser {
-                    n: 1,
-                    c: 3,
-                    h: 8,
-                    w: 8,
-                },
-                out_shape: Shape4Ser {
-                    n: 1,
-                    c: 16,
-                    h: 4,
-                    w: 4,
-                },
+                in_shape: shape(3, 8),
+                out_shape: shape(16, 4),
                 kernel: 3,
                 macs: 12345,
                 weight_count: 432,
@@ -582,59 +307,32 @@ mod tests {
 
     #[test]
     fn prepared_round_trip_and_missing() {
-        let dir = test_dir("store-prep");
-        let store = ArtifactStore::open(&dir).unwrap();
-        assert!(store.load_prepared("alexnet", 4, 9).unwrap().is_none());
-        let params = sample_params();
-        let acts = sample_acts();
-        store
-            .save_prepared("alexnet", 4, 9, &params, &acts)
-            .unwrap();
-        let (p2, a2) = store.load_prepared("alexnet", 4, 9).unwrap().unwrap();
-        assert_eq!(p2.len(), params.len());
-        assert_eq!(p2.bias(0).unwrap(), params.bias(0).unwrap());
-        assert_eq!(a2.len(), acts.len());
-        for (a, b) in acts.iter().zip(&a2) {
-            let av: Vec<u32> = a.as_slice().iter().map(|v| v.to_bits()).collect();
-            let bv: Vec<u32> = b.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(av, bv);
-        }
-        // A different key misses without touching the stored artifact.
-        assert!(store.load_prepared("alexnet", 4, 10).unwrap().is_none());
-        assert!(store.load_prepared("vgg16", 4, 9).unwrap().is_none());
-        let _ = fs::remove_dir_all(&dir);
+        let mut params = Params::sized(2);
+        let w = Tensor::from_vec(Shape4::new(1, 1, 2, 2), vec![1.0, -1.0, 0.5, 0.0]);
+        params.set_weights(0, WeightStore::Dense(w));
+        params.set_bias(0, vec![0.25]);
+        round_trip("store-params", &params);
+        round_trip(
+            "store-acts",
+            &Tensor::from_vec(Shape4::new(1, 1, 1, 3), vec![0.0, -0.0, f32::NAN]),
+        );
     }
 
     #[test]
     fn workloads_round_trip_bitwise() {
-        let dir = test_dir("store-ws");
-        let store = ArtifactStore::open(&dir).unwrap();
-        let ws = sample_workloads();
-        store.save_workloads("alexnet", 4, 9, &ws).unwrap();
-        let back = store
-            .load_workloads("alexnet", 4, 9, &ws.policy)
-            .unwrap()
-            .unwrap();
-        assert!(back.bitwise_eq(&ws));
-        // A different policy is a different artifact.
-        let other = QuantPolicy::olaccel8("alexnet");
-        assert!(store
-            .load_workloads("alexnet", 4, 9, &other)
-            .unwrap()
-            .is_none());
-        let _ = fs::remove_dir_all(&dir);
+        round_trip("store-ws", &sample_workloads());
     }
 
     #[test]
     fn sim_records_round_trip_through_the_trait() {
-        use ola_energy::EnergyBreakdown;
-        use ola_sim::Utilization;
-
-        let dir = test_dir("store-sim");
-        let store = ArtifactStore::open(&dir).unwrap();
-        let tier: &dyn SimResultStore = &store;
-
-        assert!(tier.load_layer_run(0xABCD).is_none());
+        let store = ArtifactStore::open(&test_dir("store-sim")).unwrap();
+        let runs: &dyn Tier<LayerRun> = &store;
+        let events: &dyn Tier<EventRecord> = &store;
+        let utilization = Utilization {
+            run_cycles: 4000,
+            skip_cycles: 100,
+            idle_cycles: 142,
+        };
         let run = LayerRun {
             name: "conv3".into(),
             cycles: 4242,
@@ -644,137 +342,81 @@ mod tests {
                 local: 3.0,
                 logic: 4.0,
             },
-            utilization: Utilization {
-                run_cycles: 4000,
-                skip_cycles: 100,
-                idle_cycles: 142,
-            },
+            utilization,
             chunk_cycle_hist: vec![1, 0, 9],
         };
-        tier.save_layer_run(0xABCD, &run);
-        let back = tier.load_layer_run(0xABCD).unwrap();
-        assert_eq!(back.cycles, run.cycles);
-        assert_eq!(back.energy.dram.to_bits(), run.energy.dram.to_bits());
-        assert_eq!(back.utilization, run.utilization);
-        assert_eq!(back.chunk_cycle_hist, run.chunk_cycle_hist);
-        // A different fingerprint misses; same fingerprint under the other
-        // record kind is a separate namespace.
-        assert!(tier.load_layer_run(0xABCE).is_none());
-        assert!(tier.load_event_record(0xABCD).is_none());
-
         let rec = EventRecord {
             cycles: 17,
-            utilization: Utilization {
-                run_cycles: 10,
-                skip_cycles: 2,
-                idle_cycles: 90,
-            },
+            utilization,
             outlier_busy: 5,
         };
-        tier.save_event_record(0xABCD, &rec);
-        assert_eq!(tier.load_event_record(0xABCD).unwrap(), rec);
-
-        // Corruption degrades to a miss through the trait (warn + None),
-        // not an error.
-        let path = store.sim_run_path(0xABCD);
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            store.load_sim_run(0xABCD),
-            Err(StoreError::Corrupt(_))
-        ));
-        assert!(tier.load_layer_run(0xABCD).is_none());
-        let _ = fs::remove_dir_all(&dir);
+        assert!(runs.load(0xABCD).is_none());
+        runs.save(0xABCD, &run);
+        assert_eq!(payload(&runs.load(0xABCD).unwrap()), payload(&run));
+        // A different fingerprint misses; same fingerprint under the other
+        // record kind is a separate namespace.
+        assert!(runs.load(0xABCE).is_none());
+        assert!(events.load(0xABCD).is_none());
+        events.save(0xABCD, &rec);
+        assert_eq!(events.load(0xABCD).unwrap(), rec);
+        corrupt_last_byte::<LayerRun>(&store, 0xABCD);
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn eval_records_round_trip_through_the_trait() {
-        let dir = test_dir("store-eval");
-        let store = ArtifactStore::open(&dir).unwrap();
-        let tier: &dyn EvalResultStore = &store;
-
-        assert!(tier.load_eval(0xE0A1).is_none());
+        let store = ArtifactStore::open(&test_dir("store-eval")).unwrap();
+        let tier: &dyn Tier<QuantAccuracy> = &store;
         let acc = QuantAccuracy {
             top1: 0.87,
             topk: 0.99,
             realized_weight_ratio: 0.0305,
         };
-        tier.save_eval(0xE0A1, &acc);
-        let back = tier.load_eval(0xE0A1).unwrap();
-        assert_eq!(back.top1.to_bits(), acc.top1.to_bits());
-        assert_eq!(back.topk.to_bits(), acc.topk.to_bits());
-        assert_eq!(
-            back.realized_weight_ratio.to_bits(),
-            acc.realized_weight_ratio.to_bits()
-        );
+        assert!(tier.load(0xE0A1).is_none());
+        tier.save(0xE0A1, &acc);
+        assert_eq!(payload(&tier.load(0xE0A1).unwrap()), payload(&acc));
         // A different fingerprint misses; the same fingerprint under a sim
         // record kind is a separate namespace.
-        assert!(tier.load_eval(0xE0A2).is_none());
-        assert!(store.load_sim_run(0xE0A1).unwrap().is_none());
-
-        // Corruption degrades to a miss through the trait (warn + None).
-        let path = store.eval_path(0xE0A1);
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            store.load_eval_record(0xE0A1),
-            Err(StoreError::Corrupt(_))
-        ));
-        assert!(tier.load_eval(0xE0A1).is_none());
-        let _ = fs::remove_dir_all(&dir);
+        assert!(tier.load(0xE0A2).is_none());
+        assert!(store.read::<LayerRun>(0xE0A1).unwrap().is_none());
+        corrupt_last_byte::<QuantAccuracy>(&store, 0xE0A1);
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn corruption_is_detected_not_panicked() {
-        let dir = test_dir("store-corrupt");
-        let store = ArtifactStore::open(&dir).unwrap();
-        let ws = sample_workloads();
-        store.save_workloads("alexnet", 4, 9, &ws).unwrap();
-        let path = store.workloads_path("alexnet", 4, 9, &ws.policy);
-
-        // Flip one payload byte: checksum must catch it.
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            store.load_workloads("alexnet", 4, 9, &ws.policy),
-            Err(StoreError::Corrupt(_))
-        ));
-
-        // Truncate mid-header.
-        fs::write(&path, &bytes[..7]).unwrap();
-        assert!(matches!(
-            store.load_workloads("alexnet", 4, 9, &ws.policy),
-            Err(StoreError::Corrupt(_))
-        ));
-
-        // Garbage magic.
-        fs::write(&path, b"NOPE").unwrap();
-        assert!(matches!(
-            store.load_workloads("alexnet", 4, 9, &ws.policy),
-            Err(StoreError::Corrupt(_))
-        ));
-        let _ = fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&test_dir("store-corrupt")).unwrap();
+        store.write(9, &sample_workloads()).unwrap();
+        let path = store.path::<WorkloadSet>(9);
+        let bytes = fs::read(&path).unwrap();
+        corrupt_last_byte::<WorkloadSet>(&store, 9);
+        // Truncated mid-header, or garbage magic.
+        for bad in [&bytes[..7], b"NOPE"] {
+            fs::write(&path, bad).unwrap();
+            assert!(matches!(
+                store.read::<WorkloadSet>(9),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn renamed_artifact_fails_key_check() {
-        let dir = test_dir("store-rename");
-        let store = ArtifactStore::open(&dir).unwrap();
-        let ws = sample_workloads();
-        store.save_workloads("alexnet", 4, 9, &ws).unwrap();
-        let src = store.workloads_path("alexnet", 4, 9, &ws.policy);
-        let dst = store.workloads_path("alexnet", 8, 9, &ws.policy);
-        fs::rename(&src, &dst).unwrap();
+        let store = ArtifactStore::open(&test_dir("store-rename")).unwrap();
+        store.write(9, &sample_workloads()).unwrap();
+        let src = store.path::<WorkloadSet>(9);
+        fs::rename(&src, store.path::<WorkloadSet>(8)).unwrap();
         assert!(matches!(
-            store.load_workloads("alexnet", 8, 9, &ws.policy),
+            store.read::<WorkloadSet>(8),
             Err(StoreError::Corrupt(_))
         ));
-        let _ = fs::remove_dir_all(&dir);
+        // Copied to another record type's path, it fails the kind check.
+        fs::copy(store.path::<WorkloadSet>(8), store.path::<QuantAccuracy>(8)).unwrap();
+        assert!(matches!(
+            store.read::<QuantAccuracy>(8),
+            Err(StoreError::Corrupt(_))
+        ));
+        let _ = fs::remove_dir_all(store.dir());
     }
 }

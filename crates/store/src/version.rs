@@ -15,12 +15,13 @@
 //! invalidates the cache. That trades a few spurious recomputes for never
 //! serving stale bytes.
 
-use crate::wire::fnv1a64;
+use ola_tensor::memo::fnv1a64;
+use std::sync::OnceLock;
 
 /// Bump when the *container* format (header layout, wire encoding) changes
 /// incompatibly. Semantic changes to the artifact contents are covered by
 /// [`code_version`] instead.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Source files whose text determines artifact bytes. Paths are relative
 /// to `crates/store/src/`.
@@ -132,9 +133,11 @@ fn sources_version(sources: &[&str]) -> u64 {
 /// The process's code-version fingerprint: an FNV-1a fold over
 /// [`FORMAT_VERSION`] and the length-framed source text of every file in
 /// [`SOURCES`]. Identical across runs of the same build; different
-/// whenever any artifact-relevant source file changes.
+/// whenever any artifact-relevant source file changes. Computed once per
+/// process, like the other two folds.
 pub fn code_version() -> u64 {
-    sources_version(SOURCES)
+    static V: OnceLock<u64> = OnceLock::new();
+    *V.get_or_init(|| sources_version(SOURCES))
 }
 
 /// The process's model-version fingerprint: same construction as
@@ -142,7 +145,8 @@ pub fn code_version() -> u64 {
 /// simulation records (the `SimCache` disk tier) to the accelerator-model
 /// code that produced them.
 pub fn model_version() -> u64 {
-    sources_version(MODEL_SOURCES)
+    static V: OnceLock<u64> = OnceLock::new();
+    *V.get_or_init(|| sources_version(MODEL_SOURCES))
 }
 
 /// The process's eval-version fingerprint: same construction as
@@ -150,7 +154,8 @@ pub fn model_version() -> u64 {
 /// `QuantAccuracy` records (the `EvalCache` disk tier) to the evaluation
 /// code that produced them.
 pub fn eval_version() -> u64 {
-    sources_version(EVAL_SOURCES)
+    static V: OnceLock<u64> = OnceLock::new();
+    *V.get_or_init(|| sources_version(EVAL_SOURCES))
 }
 
 #[cfg(test)]

@@ -1,16 +1,14 @@
-//! Exactly-once memoization primitives and content fingerprinting.
+//! Exactly-once memoization and content fingerprinting.
 //!
-//! Three caches in the workspace share the same concurrency discipline:
-//! the harness's `PrepCache` (prepared networks and workload sets),
-//! `ola_sim::simcache::SimCache` (per-layer simulation results), and
-//! `ola_quant::evalcache::EvalCache` (quantized-accuracy records).
-//! Each keeps a map of per-key [`Slot`]s — an `Arc<OnceLock<..>>` whose
-//! expensive build runs in exactly one caller while concurrent requesters
-//! for the same key block until it lands — and each must survive a
-//! panicking build without poisoning the key. [`fill_slot`] is that
-//! protocol, factored here (the root of the crate graph, like
-//! [`crate::par`]) so every layer can use it; `ola_sim::memo` re-exports
-//! it unchanged for its pre-existing callers.
+//! Every cached stage of the workspace — the harness's prepared networks
+//! and workload sets, `ola_sim::SimCache`'s per-layer simulation records
+//! and `ola_quant::EvalCache`'s accuracy records — is a [`Stage`]: a map
+//! of `u64`-keyed [`Slot`]s filled under the exactly-once protocol of
+//! [`fill_slot`], one set of hit/miss counters, and an optional persistent
+//! [`Tier`]. The expensive build runs in exactly one caller while
+//! concurrent requesters for the same key block until it lands, and a
+//! panicking build never poisons its key. It lives here, at the root of
+//! the crate graph (like [`crate::par`]), so every layer can use it.
 //!
 //! [`Fingerprint`] is the companion keying primitive: an incremental
 //! 64-bit FNV-1a fold over length-framed field bytes. Callers fold every
@@ -181,7 +179,7 @@ fn evict_slot<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: &K, slot: 
     }
 }
 
-/// The exactly-once fill protocol shared by every cache level: find or
+/// The exactly-once fill protocol every [`Stage`] runs on: find or
 /// insert the key's slot, run `build` in at most one caller, and report
 /// what happened (`None` = served from memory). A panicking build is
 /// re-raised with its original payload for the builder, re-raised by
@@ -228,6 +226,111 @@ where
             evict_slot(map, &key, &slot);
             panic!("{msg}");
         }
+    }
+}
+
+/// The persistent tier behind a [`Stage`]: records addressed by the
+/// stage's `u64` key. Implemented for every record type by the
+/// `ola-store` artifact store.
+///
+/// A broken tier degrades to a cold cache, never a failed run: `load`
+/// answers `None` for any missing, stale, corrupt or unreadable record,
+/// and `save` reports its own failures (a warning on stderr).
+pub trait Tier<V>: Send + Sync {
+    /// The record stored under `key`, if a valid one exists.
+    fn load(&self, key: u64) -> Option<V>;
+    /// Persists `value` under `key`.
+    fn save(&self, key: u64, value: &V);
+}
+
+/// A point-in-time snapshot of one [`Stage`]'s counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageStats {
+    /// Requests served from memory.
+    pub hits: u64,
+    /// Requests that ran the build.
+    pub built: u64,
+    /// Requests served by loading a record from the tier (these count as
+    /// neither hit nor built — no computation ran).
+    pub disk_hits: u64,
+    /// Tier lookups that found nothing usable, so the build ran.
+    pub disk_misses: u64,
+}
+
+/// One memoized stage: a `u64`-keyed slot map filled exactly once per key
+/// (see [`fill_slot`]), an optional persistent [`Tier`] that misses read
+/// through before building and fresh builds write through after, and the
+/// stage's [`StageStats`] counters.
+pub struct Stage<V> {
+    slots: Mutex<HashMap<u64, Slot<V>>>,
+    tier: Mutex<Option<Arc<dyn Tier<V>>>>,
+    stats: Mutex<StageStats>,
+}
+
+impl<V> Default for Stage<V> {
+    fn default() -> Self {
+        Stage {
+            slots: Mutex::default(),
+            tier: Mutex::default(),
+            stats: Mutex::default(),
+        }
+    }
+}
+
+impl<V> Stage<V> {
+    /// An empty stage with no tier.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Attaches (or, with `None`, detaches) the persistent tier. Entries
+    /// already in memory are unaffected.
+    pub fn set_tier(&self, tier: Option<Arc<dyn Tier<V>>>) {
+        *lock_unpoisoned(&self.tier) = tier;
+    }
+
+    /// Fetches the value for `key`, or produces it exactly once per
+    /// process: the tier first, then `build` (written through to the
+    /// tier). `build` must be a pure function of the inputs folded into
+    /// `key`.
+    pub fn get(&self, key: u64, build: impl FnOnce() -> V) -> Arc<V> {
+        let (value, fill) = fill_slot(&self.slots, key, || {
+            let tier = lock_unpoisoned(&self.tier).clone();
+            if let Some(tier) = &tier {
+                if let Some(v) = tier.load(key) {
+                    return (Arc::new(v), Fill::Disk);
+                }
+                lock_unpoisoned(&self.stats).disk_misses += 1;
+            }
+            let v = build();
+            if let Some(tier) = &tier {
+                tier.save(key, &v);
+            }
+            (Arc::new(v), Fill::Built)
+        });
+        let mut stats = lock_unpoisoned(&self.stats);
+        match fill {
+            None => stats.hits += 1,
+            Some(Fill::Built) => stats.built += 1,
+            Some(Fill::Disk) => stats.disk_hits += 1,
+        }
+        value
+    }
+
+    /// Snapshots the counters.
+    pub fn stats(&self) -> StageStats {
+        *lock_unpoisoned(&self.stats)
+    }
+
+    /// Drops every entry and zeroes the counters (test isolation; also
+    /// frees the memory of a long-lived process between suites). The tier
+    /// stays attached.
+    pub fn reset(&self) {
+        // Hold the map lock throughout so a concurrent request can't
+        // observe cleared counters against a still-populated map.
+        let mut slots = lock_unpoisoned(&self.slots);
+        slots.clear();
+        *lock_unpoisoned(&self.stats) = StageStats::default();
     }
 }
 
@@ -310,5 +413,76 @@ mod tests {
         let (v, fill) = fill_slot(&map, 1, || (Arc::new(5u64), Fill::Built));
         assert_eq!(*v, 5, "key must be retryable after a failed build");
         assert!(fill.is_some(), "retry must actually rebuild");
+    }
+
+    /// An in-memory tier.
+    #[derive(Default)]
+    struct MemTier(Mutex<HashMap<u64, u64>>);
+
+    impl Tier<u64> for MemTier {
+        fn load(&self, key: u64) -> Option<u64> {
+            lock_unpoisoned(&self.0).get(&key).copied()
+        }
+        fn save(&self, key: u64, value: &u64) {
+            lock_unpoisoned(&self.0).insert(key, *value);
+        }
+    }
+
+    #[test]
+    fn stage_builds_each_key_once_and_counts_hits() {
+        let stage = Stage::new();
+        for _ in 0..3 {
+            assert_eq!(*stage.get(11, || 100u64), 100);
+        }
+        let s = stage.stats();
+        assert_eq!((s.built, s.hits, s.disk_hits, s.disk_misses), (1, 2, 0, 0));
+    }
+
+    #[test]
+    fn distinct_keys_get_distinct_entries() {
+        let stage = Stage::new();
+        let a = stage.get(1, || 1u64);
+        let b = stage.get(2, || 2u64);
+        assert_ne!(a, b);
+        assert_eq!(stage.stats().built, 2);
+    }
+
+    #[test]
+    fn reset_clears_entries_and_counters() {
+        let stage = Stage::new();
+        let _ = stage.get(9, || 5u64);
+        stage.reset();
+        assert_eq!(stage.stats(), StageStats::default());
+        let _ = stage.get(9, || 5u64);
+        assert_eq!(stage.stats().built, 1, "reset must drop the entry");
+    }
+
+    #[test]
+    fn tier_reads_through_and_writes_through() {
+        let tier = Arc::new(MemTier::default());
+        let cold = Stage::new();
+        cold.set_tier(Some(tier.clone()));
+        assert_eq!(*cold.get(7, || 42u64), 42);
+        let s = cold.stats();
+        assert_eq!((s.built, s.disk_hits, s.disk_misses), (1, 0, 1));
+        assert_eq!(tier.load(7), Some(42), "a fresh build must write through");
+
+        // A second process over the same tier loads without building.
+        let warm = Stage::new();
+        warm.set_tier(Some(tier.clone()));
+        assert_eq!(
+            *warm.get(7, || panic!("the tier must satisfy the lookup")),
+            42
+        );
+        assert_eq!(*warm.get(7, || panic!("a resident entry must hit")), 42);
+        let s = warm.stats();
+        assert_eq!((s.built, s.hits, s.disk_hits, s.disk_misses), (0, 1, 1, 0));
+
+        // Detaching the tier leaves a plain memory cache.
+        let plain = Stage::new();
+        plain.set_tier(Some(tier));
+        plain.set_tier(None);
+        assert_eq!(*plain.get(7, || 43u64), 43);
+        assert_eq!(plain.stats().disk_misses, 0);
     }
 }

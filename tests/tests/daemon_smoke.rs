@@ -1,13 +1,16 @@
 //! In-process smoke test of the `serve` daemon: two concurrent identical
 //! requests coalesce onto one computation and receive byte-identical
-//! payloads, the protocol's small commands answer, and `shutdown` drains
-//! cleanly and removes the socket.
+//! payloads, the protocol's small commands answer, a path-like request
+//! against the disk store fails cleanly, and `shutdown` drains cleanly and
+//! removes the socket.
 //!
 //! This file holds a single `#[test]` on purpose — the daemon runs
 //! experiments through the global [`ola_harness::prep::PrepCache`] and the
 //! stats assertions below would race any other test in the same binary.
 
 #![cfg(unix)]
+
+mod common;
 
 use ola_harness::cli::RunOptions;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -43,12 +46,13 @@ fn daemon_coalesces_and_shuts_down_cleanly() {
     ola_harness::prep::PrepCache::global().reset();
     let socket = std::env::temp_dir().join(format!("ola-daemon-{}.sock", std::process::id()));
     std::fs::remove_file(&socket).ok();
+    let store = common::scratch_dir("daemon-store");
 
     let options = RunOptions {
         fast: true,
         jobs: Some(2),
         out_dir: None,
-        cache_dir: None,
+        cache_dir: Some(store.clone()),
     };
     let server = {
         let socket = socket.clone();
@@ -114,6 +118,13 @@ fn daemon_coalesces_and_shuts_down_cleanly() {
     assert!(h.starts_with("err "), "hidden hooks must be rejected: {h}");
     let (h, _) = roundtrip(&socket, "frobnicate");
     assert!(h.starts_with("err "), "got: {h}");
+    let (h, _) = roundtrip(&socket, "run compare-../escape");
+    assert!(
+        h.starts_with("err "),
+        "path-like names must be rejected: {h}"
+    );
+    let (h, _) = roundtrip(&socket, "ping");
+    assert_eq!(h, "ok pong", "daemon must still answer");
 
     let (h, _) = roundtrip(&socket, "shutdown");
     assert_eq!(h, "ok shutting-down");
@@ -124,4 +135,5 @@ fn daemon_coalesces_and_shuts_down_cleanly() {
     assert!(summary.requests >= 8, "got {summary:?}");
     assert_eq!(summary.coalesced, 2, "one racer + one replay: {summary:?}");
     assert!(!socket.exists(), "socket file must be removed on shutdown");
+    std::fs::remove_dir_all(&store).ok();
 }

@@ -2,7 +2,9 @@
 //! a cached result must be bit-identical to a fresh computation for every
 //! accelerator model at any worker count, event records replayed from the
 //! cache must still satisfy the cycle conservation law, and the disk tier
-//! must round-trip records bit-exactly through `SimResultStore`.
+//! must round-trip records bit-exactly through the artifact store.
+
+mod common;
 
 use ola_baselines::{EyerissSim, ZenaSim};
 use ola_core::event::{cluster_record, EventConfig};
@@ -10,8 +12,9 @@ use ola_core::OlAccelSim;
 use ola_energy::config::MemoryConfig;
 use ola_energy::{ComparisonMode, TechParams};
 use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser, WorkloadSet};
-use ola_sim::{LayerRun, QuantPolicy, SimCache, SimResultStore, Utilization};
+use ola_sim::{EventRecord, LayerRun, QuantPolicy, SimCache, Utilization};
 use ola_store::ArtifactStore;
+use ola_tensor::memo::Tier;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -170,24 +173,12 @@ proptest! {
     }
 }
 
-/// A unique scratch directory under the system temp dir (process-id +
-/// monotonic counter — no wall clock, no RNG).
-fn test_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "ola-simcache-test-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// A warm disk store lets a second, cold in-memory cache serve the exact
 /// bytes the first cache computed — without running the build closure.
 #[test]
 fn disk_tier_round_trips_without_recompute() {
-    let dir = test_dir("tier");
-    let store: Arc<dyn SimResultStore> = Arc::new(ArtifactStore::open(&dir).unwrap());
+    let dir = common::scratch_dir("simcache-tier");
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
 
     let run = LayerRun {
         name: "conv1".into(),
@@ -237,12 +228,12 @@ fn disk_tier_round_trips_without_recompute() {
 /// same result.
 #[test]
 fn event_records_persist_through_the_global_path() {
-    let dir = test_dir("event");
+    let dir = common::scratch_dir("simcache-event");
     let artifact = Arc::new(ArtifactStore::open(&dir).unwrap());
 
     let cache = SimCache::new();
-    cache.set_store(Some(artifact.clone() as Arc<dyn SimResultStore>));
-    let rec = ola_sim::EventRecord {
+    cache.set_store(Some(artifact.clone()));
+    let rec = EventRecord {
         cycles: 999,
         utilization: Utilization {
             run_cycles: 500,
@@ -255,12 +246,12 @@ fn event_records_persist_through_the_global_path() {
     assert_eq!(stored, rec);
 
     // The record is on disk under its fingerprint and model version.
-    assert!(artifact.sim_event_path(0xBEEF).exists());
-    assert_eq!(artifact.load_sim_event(0xBEEF).unwrap(), Some(rec));
+    assert!(artifact.path::<EventRecord>(0xBEEF).exists());
+    assert_eq!(Tier::<EventRecord>::load(&*artifact, 0xBEEF), Some(rec));
 
     // A cold cache over the same store replays it without simulating.
     let cold = SimCache::new();
-    cold.set_store(Some(artifact as Arc<dyn SimResultStore>));
+    cold.set_store(Some(artifact));
     let replay = cold.event_record(0xBEEF, || panic!("warm store must satisfy the lookup"));
     assert_eq!(replay, rec);
     assert_eq!(cold.stats().disk_hits, 1);

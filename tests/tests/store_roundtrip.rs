@@ -7,29 +7,17 @@
 //! own store directory, so they are independent of the global cache and of
 //! each other.
 
+mod common;
+
 use ola_harness::prep::{PrepCache, DEFAULT_SEED};
 use ola_sim::QuantPolicy;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A unique scratch directory per call (parallel tests never collide).
-fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ola-roundtrip-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 const NET: &str = "alexnet";
 const SCALE: usize = 8;
 
 #[test]
 fn second_process_loads_instead_of_computing() {
-    let dir = scratch("warm");
+    let dir = common::scratch_dir("roundtrip-warm");
     let policy = QuantPolicy::olaccel16(NET);
 
     // "Process" one: a fresh cache with the disk tier attached. Everything
@@ -81,7 +69,7 @@ fn second_process_loads_instead_of_computing() {
 
 #[test]
 fn corrupt_artifact_warns_and_recomputes() {
-    let dir = scratch("corrupt");
+    let dir = common::scratch_dir("roundtrip-corrupt");
     let policy = QuantPolicy::olaccel16(NET);
 
     let cold = PrepCache::new();
@@ -121,7 +109,7 @@ fn corrupt_artifact_warns_and_recomputes() {
 
 #[test]
 fn truncated_and_alien_files_are_ignored() {
-    let dir = scratch("alien");
+    let dir = common::scratch_dir("roundtrip-alien");
     let cold = PrepCache::new();
     cold.set_disk(Some(&dir)).unwrap();
     let _ = cold.prepared(NET, SCALE, DEFAULT_SEED);
