@@ -168,28 +168,17 @@ impl EyerissSim {
     }
 
     /// Simulates every layer of a workload set, layer-parallel under the
-    /// process-wide model worker budget and memoized in the global
+    /// thread's worker budget and memoized in the global
     /// [`ola_sim::SimCache`] (see `OlAccelSim::simulate` in `ola-core` for
     /// the shared determinism argument).
     pub fn simulate(&self, ws: &WorkloadSet) -> NetworkRun {
-        self.simulate_with_jobs(ws, ola_sim::simcache::model_jobs())
-    }
-
-    /// [`EyerissSim::simulate`] with an explicit worker-thread count
-    /// (`1` = inline on the calling thread).
-    pub fn simulate_with_jobs(&self, ws: &WorkloadSet, jobs: usize) -> NetworkRun {
-        ola_sim::timing::timed(ola_sim::timing::Phase::Model, || {
-            let mem = MemoryConfig::for_network(&ws.network, self.config.mode);
-            let cache = ola_sim::SimCache::global();
-            NetworkRun {
-                accelerator: self.label(),
-                network: ws.network.clone(),
-                layers: ola_tensor::par::ordered_map(&ws.layers, jobs, |_, l| {
-                    (*cache.layer_run(self.sim_key(l, &mem), || self.simulate_layer(l, &mem)))
-                        .clone()
-                }),
-            }
-        })
+        let mem = MemoryConfig::for_network(&ws.network, self.config.mode);
+        ola_sim::SimCache::global().simulate_network(
+            self.label(),
+            ws,
+            |l| self.sim_key(l, &mem),
+            |l| self.simulate_layer(l, &mem),
+        )
     }
 
     /// DRAM traffic bits per inference (scalability model input).

@@ -56,10 +56,9 @@ fn benches(c: &mut Criterion) {
             b.iter(|| black_box(net.forward_naive(black_box(&params), black_box(&input))))
         });
         for jobs in [1, 2, 4] {
+            ola_tensor::par::set_jobs(jobs);
             g.bench_function(&format!("fast_j{jobs}"), |b| {
-                b.iter(|| {
-                    black_box(net.forward_with_jobs(black_box(&params), black_box(&input), jobs))
-                })
+                b.iter(|| black_box(net.forward(black_box(&params), black_box(&input))))
             });
         }
         g.finish();

@@ -5,12 +5,11 @@
 //! the quantize/calibrate/forward pipeline) versus warm (cache left
 //! resident, so the phase is pure lookup), at 1/2/4 workers. The cold j1
 //! vs cold j4 pair is the per-image fan-out speedup the engine's jobs
-//! split buys; cold vs warm is what a daemon or repeat CLI run saves.
+//! budget buys; cold vs warm is what a daemon or repeat CLI run saves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ola_harness::fig02::{trained, RATIOS};
 use ola_quant::accuracy::{evaluate_synthnet, QuantSpec};
-use ola_quant::evalcache::set_eval_jobs;
 use ola_quant::EvalCache;
 use std::hint::black_box;
 
@@ -33,7 +32,7 @@ fn benches(c: &mut Criterion) {
     };
 
     for jobs in [1usize, 2, 4] {
-        set_eval_jobs(jobs);
+        ola_tensor::par::set_jobs(jobs);
         c.bench_function(&format!("quant_eval_fig2_cold_j{jobs}"), |b| {
             b.iter(|| {
                 EvalCache::global().reset();

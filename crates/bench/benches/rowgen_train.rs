@@ -42,10 +42,11 @@ fn synthnet_sgd(c: &mut Criterion) {
     g.sample_size(10)
         .throughput(Throughput::Elements(data.len() as u64));
     for jobs in [1usize, 2, 4] {
+        ola_tensor::par::set_jobs(jobs);
         g.bench_function(&format!("j{jobs}"), |b| {
             b.iter(|| {
                 let mut net = SynthNet::new(10, 0xCAFE);
-                net.train_jobs(&data, 1, 0.02, 0xBEEF, jobs);
+                net.train(&data, 1, 0.02, 0xBEEF);
                 black_box(net.w5[0])
             })
         });
@@ -57,10 +58,9 @@ fn dataset_synthesis(c: &mut Criterion) {
     let mut g = c.benchmark_group("dataset_generate");
     g.sample_size(10).throughput(Throughput::Elements(2800));
     for jobs in [1usize, 2, 4] {
+        ola_tensor::par::set_jobs(jobs);
         g.bench_function(&format!("j{jobs}"), |b| {
-            ola_tensor::par::set_fill_jobs(jobs);
             b.iter(|| black_box(SynthDataset::generate(2800, 10, 0x5EED).len()));
-            ola_tensor::par::set_fill_jobs(1);
         });
     }
     g.finish();

@@ -58,14 +58,14 @@ fn benches(c: &mut Criterion) {
             })
         });
         for jobs in [1, 2, 4] {
+            ola_tensor::par::set_jobs(jobs);
             g.bench_function(&format!("fused_j{jobs}"), |b| {
                 b.iter(|| {
-                    black_box(workload::extract_from_acts_jobs(
+                    black_box(workload::extract_from_acts(
                         black_box(&net),
                         black_box(&params),
                         black_box(&acts),
                         black_box(&policy),
-                        jobs,
                     ))
                 })
             });

@@ -233,8 +233,7 @@ impl OlAccelSim {
     }
 
     /// Simulates every layer of a workload set, layer-parallel under the
-    /// process-wide model worker budget
-    /// ([`ola_sim::simcache::model_jobs`]).
+    /// thread's worker budget ([`ola_tensor::par::jobs`]).
     ///
     /// Layers are independent given a [`WorkloadSet`], so they fan out over
     /// [`ola_tensor::par::ordered_map`]'s scoped worker threads; results come
@@ -244,24 +243,13 @@ impl OlAccelSim {
     /// configuration (across figures, jobs, or daemon requests) are served
     /// from memory — or from the disk store on a warm `--cache-dir` run.
     pub fn simulate(&self, ws: &WorkloadSet) -> NetworkRun {
-        self.simulate_with_jobs(ws, ola_sim::simcache::model_jobs())
-    }
-
-    /// [`OlAccelSim::simulate`] with an explicit worker-thread count
-    /// (`1` = inline on the calling thread).
-    pub fn simulate_with_jobs(&self, ws: &WorkloadSet, jobs: usize) -> NetworkRun {
-        ola_sim::timing::timed(ola_sim::timing::Phase::Model, || {
-            let mem = MemoryConfig::for_network(&ws.network, self.config.mode);
-            let cache = ola_sim::SimCache::global();
-            NetworkRun {
-                accelerator: self.label(),
-                network: ws.network.clone(),
-                layers: ola_tensor::par::ordered_map(&ws.layers, jobs, |_, l| {
-                    (*cache.layer_run(self.sim_key(l, &mem), || self.simulate_layer(l, &mem)))
-                        .clone()
-                }),
-            }
-        })
+        let mem = MemoryConfig::for_network(&ws.network, self.config.mode);
+        ola_sim::SimCache::global().simulate_network(
+            self.label(),
+            ws,
+            |l| self.sim_key(l, &mem),
+            |l| self.simulate_layer(l, &mem),
+        )
     }
 
     /// Total DRAM traffic bits for one inference (Fig 15 bandwidth model).
@@ -441,8 +429,9 @@ mod tests {
             policy: ola_sim::QuantPolicy::olaccel16("alexnet"),
             layers: (1u8..10).map(|nnz| dense_layer(nnz, 500)).collect(),
         };
-        let serial = sim.simulate_with_jobs(&ws, 1);
-        let parallel = sim.simulate_with_jobs(&ws, 4);
+        let serial = sim.simulate(&ws);
+        ola_tensor::par::set_jobs(4);
+        let parallel = sim.simulate(&ws);
         assert_eq!(serial.layers.len(), parallel.layers.len());
         for (a, b) in serial.layers.iter().zip(&parallel.layers) {
             assert_eq!(a.cycles, b.cycles);

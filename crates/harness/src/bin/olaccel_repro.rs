@@ -26,9 +26,12 @@ EXPERIMENT  fig1 fig2 fig3 table1 fig11 fig12 fig13 fig14 fig15 fig16
             extra-resnet101 extra-densenet121 compare-<network>
             all (default)
 --fast      reduced spatial scale / training budget (CI-friendly)
---jobs N    worker threads (default: available parallelism; 1 = serial).
-            The budget is shared between concurrent experiments and the
-            per-forward compute kernels; output is byte-identical at any N.
+--jobs N    worker budget (default: available parallelism; 1 = serial).
+            Concurrent experiments split it evenly, and each experiment's
+            share feeds its synthesis, forwards, extraction, training,
+            simulations and evals; output is byte-identical at any N.
+            In `serve`, the default for requests without their own --jobs
+            (a request may ask for at most 1024).
 --out DIR   additionally write each report to DIR/<experiment>.txt
 --cache-dir DIR
             persistent artifact store: prepared networks, workload sets,
@@ -73,9 +76,7 @@ fn main() {
                 fs::create_dir_all(dir).expect("create output directory");
             }
             let names = cli::resolve_names(&names);
-            let jobs = options
-                .jobs
-                .unwrap_or_else(ola_harness::engine::default_jobs);
+            let jobs = options.jobs.unwrap_or_else(ola_tensor::par::default_jobs);
             let out_dir = options.out_dir.clone();
             let result = ola_harness::engine::run_suite(&names, options.fast, jobs, |outcome| {
                 if let Ok(report) = &outcome.report {

@@ -3,9 +3,10 @@
 //!
 //! Experiments are independent — every one seeds its own RNG streams and
 //! shares read-only state through [`crate::prep::PrepCache`] — so the suite
-//! is an embarrassingly parallel job set. The engine runs `jobs` worker
-//! threads (std [`std::thread::scope`], no external dependencies) over a
-//! shared atomic cursor, while the calling thread emits finished reports
+//! is an embarrassingly parallel job set. The engine runs them on
+//! [`ordered_map`]'s work queue with a worker budget of `jobs`, so each
+//! experiment computes under its even share of it (see
+//! [`ola_tensor::par`]), while the calling thread emits finished reports
 //! **in request order** as soon as each prefix completes. Reports are
 //! therefore byte-identical to a serial run no matter the worker count or
 //! scheduling order; only the wall-clock summary (which carries timings)
@@ -19,9 +20,9 @@ use crate::prep::{CacheStats, PrepCache};
 use crate::timing::{self, PhaseStats};
 use ola_quant::{EvalCache, EvalStats};
 use ola_sim::{SimCache, SimStats};
+use ola_tensor::par::{ordered_map, set_jobs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The result of one experiment: its report (or caught panic) and timing.
@@ -97,12 +98,6 @@ impl SuiteResult {
     }
 }
 
-/// Default worker count: the machine's available parallelism (shared with
-/// the intra-experiment layer parallelism in [`ola_tensor::par`]).
-pub fn default_jobs() -> usize {
-    ola_tensor::par::default_jobs()
-}
-
 /// Whether `name` is an experiment [`crate::run_experiment`] accepts.
 pub fn is_known_experiment(name: &str) -> bool {
     crate::EXPERIMENTS.contains(&name)
@@ -111,12 +106,6 @@ pub fn is_known_experiment(name: &str) -> bool {
         || name == "__panic"
         || name.starts_with("compare-")
         || name.starts_with("validate-")
-}
-
-/// Per-experiment slot shared between workers and the emitting thread.
-struct Slots {
-    done: Mutex<Vec<Option<ExperimentOutcome>>>,
-    ready: Condvar,
 }
 
 /// Runs `names` across `jobs` workers, invoking `on_report` for each
@@ -141,36 +130,22 @@ where
     if let Some(bad) = names.iter().find(|n| !is_known_experiment(n)) {
         panic!("unknown experiment {bad}; known: {:?}", crate::EXPERIMENTS);
     }
-    // Split the worker budget between the experiment level and the
-    // per-forward kernel level so the two never oversubscribe the machine:
-    // a single experiment gets the whole budget for its forward passes,
-    // while a wide suite keeps kernels serial inside each worker. Forward
-    // results are bit-identical at any worker count, so this only shifts
-    // where the parallelism lives, never what is computed.
-    let outer = jobs.min(names.len().max(1));
-    let inner = (jobs / outer).max(1);
-    ola_nn::kernels::set_forward_jobs(inner);
-    ola_sim::workload::set_extract_jobs(inner);
-    ola_sim::simcache::set_model_jobs(inner);
-    ola_quant::evalcache::set_eval_jobs(inner);
-    ola_tensor::par::set_fill_jobs(inner);
     let start = Instant::now();
     let stats_before = PrepCache::global().stats();
     let sim_before = SimCache::global().stats();
     let eval_before = EvalCache::global().stats();
     let phases_before = timing::snapshot();
-    let cursor = AtomicUsize::new(0);
-    let slots = Slots {
-        done: Mutex::new((0..names.len()).map(|_| None).collect()),
-        ready: Condvar::new(),
-    };
-
     let mut outcomes: Vec<ExperimentOutcome> = Vec::with_capacity(names.len());
+    let (finished, arrivals) = mpsc::channel();
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(names.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(name) = names.get(i) else { break };
+        // The queue gets its own thread holding the whole budget: a single
+        // experiment then gets all of it for its forwards, simulations and
+        // evals, while a wide suite keeps each experiment at its share.
+        // Every stage is bit-identical at any budget, so this only shifts
+        // where the parallelism lives, never what is computed.
+        scope.spawn(move || {
+            set_jobs(jobs);
+            ordered_map(names, jobs, |i, name| {
                 let t = Instant::now();
                 let report = catch_unwind(AssertUnwindSafe(|| crate::run_experiment(name, fast)))
                     // `e.as_ref()`, not `&e`: coercing `&Box<dyn Any>` would
@@ -181,32 +156,21 @@ where
                     report,
                     wall: t.elapsed(),
                 };
-                // Poison-tolerant locking throughout the queue: every
-                // experiment panic is already caught above, but a panic in
-                // the consumer's `on_report` callback would otherwise
-                // poison this mutex and replace the workers' (and the
-                // suite's) real failure message with a generic
-                // `PoisonError` — the first failure's payload must survive.
-                let mut done = lock_unpoisoned(&slots.done);
-                done[i] = Some(outcome);
-                slots.ready.notify_all();
+                // A send only fails once the consumer's `on_report` has
+                // panicked; that panic is the one the scope re-raises.
+                let _ = finished.send((i, outcome));
             });
-        }
+        });
 
-        // Emit in request order while workers keep draining the queue.
-        let mut done = lock_unpoisoned(&slots.done);
-        for i in 0..names.len() {
-            while done[i].is_none() {
-                done = slots
-                    .ready
-                    .wait(done)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Emit in request order while workers keep draining the queue; the
+        // channel closes once every experiment has finished.
+        let mut pending: Vec<Option<ExperimentOutcome>> = names.iter().map(|_| None).collect();
+        for (i, outcome) in arrivals {
+            pending[i] = Some(outcome);
+            while let Some(next) = pending.get_mut(outcomes.len()).and_then(Option::take) {
+                on_report(&next);
+                outcomes.push(next);
             }
-            let outcome = done[i].take().expect("slot filled");
-            drop(done);
-            on_report(&outcome);
-            outcomes.push(outcome);
-            done = lock_unpoisoned(&slots.done);
         }
     });
 
@@ -244,7 +208,7 @@ pub fn run_suite_collect(names: &[&str], fast: bool, jobs: usize) -> Vec<String>
 /// Best-effort extraction of a caught panic's message (shared with the
 /// caches' exactly-once slots, which relay a failed build's message to
 /// every waiting requester).
-pub(crate) use ola_tensor::memo::{lock_unpoisoned, panic_message};
+pub(crate) use ola_tensor::memo::panic_message;
 
 #[cfg(test)]
 mod tests {

@@ -15,11 +15,8 @@ use ola_energy::{ComparisonMode, TechParams};
 use ola_sim::WorkloadSet;
 
 fn reduction_with(tech: &TechParams, ws: &WorkloadSet) -> f64 {
-    // Sweep points already run in parallel (`run` fans the grid out), so
-    // keep the per-simulation layer loop serial — results are bit-identical
-    // either way, this only avoids oversubscribing the worker budget.
-    let zena = ZenaSim::new(*tech, ComparisonMode::Bits16).simulate_with_jobs(ws, 1);
-    let ola = OlAccelSim::new(*tech, ComparisonMode::Bits16).simulate_with_jobs(ws, 1);
+    let zena = ZenaSim::new(*tech, ComparisonMode::Bits16).simulate(ws);
+    let ola = OlAccelSim::new(*tech, ComparisonMode::Bits16).simulate(ws);
     1.0 - ola.total_energy().total() / zena.total_energy().total()
 }
 
@@ -32,7 +29,8 @@ pub fn run(fast: bool) -> String {
     // Materialize the sweep grid first, then evaluate every point in
     // parallel — each point is two full-network simulations, which the
     // `SimCache` memoizes per (tech, layer) so repeat runs replay from
-    // memory. Rows assemble in grid order: byte-identical at any jobs.
+    // memory; each point's simulations share its slice of the worker
+    // budget. Rows assemble in grid order: byte-identical at any jobs.
     let mut cases: Vec<(String, String, TechParams)> = Vec::new();
     for factor in [0.25, 0.5, 1.0, 2.0, 4.0] {
         let mut t = base;
@@ -62,11 +60,10 @@ pub fn run(fast: bool) -> String {
             t,
         ));
     }
-    let rows = ola_tensor::par::ordered_map(
-        &cases,
-        ola_sim::simcache::model_jobs(),
-        |_, (knob, value, t)| vec![knob.clone(), value.clone(), pct(reduction_with(t, &ws16))],
-    );
+    let rows =
+        ola_tensor::par::ordered_map(&cases, ola_tensor::par::jobs(), |_, (knob, value, t)| {
+            vec![knob.clone(), value.clone(), pct(reduction_with(t, &ws16))]
+        });
     let body = table(&["knob", "value", "OLA16 vs ZeNA16 reduction"], &rows);
     format!(
         "=== Sensitivity: AlexNet energy reduction vs technology constants ===\n{body}\n\

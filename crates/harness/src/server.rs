@@ -35,10 +35,13 @@
 //! requests for the same experiment always deliver identical payload
 //! bytes, even though their headers differ.
 //!
-//! `--jobs` is advisory: it retunes the process-wide kernel worker pools
-//! before the computation starts. Reports are byte-identical at any jobs
-//! value (the workspace's determinism contract), so it affects latency
-//! only.
+//! `--jobs N` (at most 1024) sets the worker budget of the connection's
+//! own thread for that request, falling back to `serve --jobs`, then to
+//! the machine's available parallelism; concurrent requests never see each
+//! other's budget. Reports are byte-identical at any budget (the
+//! workspace's determinism contract), so it affects latency only. A
+//! request line longer than 4 KiB is answered with `err request line too
+//! long` and its connection closed.
 //!
 //! ## Shutdown
 //!
@@ -50,13 +53,19 @@ use crate::cli::RunOptions;
 use crate::prep::PrepCache;
 use ola_tensor::memo::{fill_slot, Fill, Slot};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Longest request line a client may send, newline included.
+const MAX_LINE_BYTES: usize = 4096;
+
+/// Largest `--jobs` a request may ask for.
+const MAX_REQUEST_JOBS: usize = 1024;
 
 /// Set by signal handlers and the `shutdown` command; polled by the
 /// accept loop.
@@ -204,14 +213,25 @@ fn handle_connection(server: &Server, stream: UnixStream) {
         Err(_) => return,
     });
     let mut writer = stream;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        buf.clear();
+        // Reading through `take` bounds the buffer a client can grow.
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
-            Err(_) => return,
         }
+        if buf.len() == MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+            server.requests.fetch_add(1, Ordering::Relaxed);
+            let _ = writer.write_all(b"err request line too long\n");
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -312,22 +332,19 @@ fn parse_request(server: &Server, line: &str) -> Result<Request, String> {
 
 fn parse_request_jobs(v: &str) -> Result<usize, String> {
     match v.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err("--jobs needs a positive integer".to_string()),
+        Ok(n) if (1..=MAX_REQUEST_JOBS).contains(&n) => Ok(n),
+        _ => Err(format!("--jobs needs an integer in 1..={MAX_REQUEST_JOBS}")),
     }
 }
 
 /// Runs (or joins / replays) one experiment and frames the response.
 fn run_request(server: &Server, name: &str, fast: bool, jobs: Option<usize>) -> Vec<u8> {
-    if let Some(jobs) = jobs.or(server.options.jobs) {
-        // Advisory: retune the process-wide kernel pools. Output bytes are
-        // identical at any value.
-        ola_nn::kernels::set_forward_jobs(jobs);
-        ola_sim::workload::set_extract_jobs(jobs);
-        ola_sim::simcache::set_model_jobs(jobs);
-        ola_quant::evalcache::set_eval_jobs(jobs);
-        ola_tensor::par::set_fill_jobs(jobs);
-    }
+    // The budget lives on this connection's thread only. Output bytes are
+    // identical at any value.
+    ola_tensor::par::set_jobs(
+        jobs.or(server.options.jobs)
+            .unwrap_or_else(ola_tensor::par::default_jobs),
+    );
     let start = Instant::now();
     let key = (name.to_string(), fast);
     let outcome = catch_unwind(AssertUnwindSafe(|| {

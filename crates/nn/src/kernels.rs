@@ -14,7 +14,8 @@
 //!   loads per step), breaking the single-accumulator add-latency chain
 //!   that makes the naive loop latency-bound;
 //! * **row-tile parallelism** via [`ola_tensor::par::ordered_map`] scoped
-//!   worker threads, so kernel worker count follows the suite's `--jobs`.
+//!   worker threads, so kernel worker count follows the thread's
+//!   [`ola_tensor::par::jobs`] budget.
 //!
 //! # Bit-exactness contract
 //!
@@ -42,32 +43,11 @@
 use crate::synth::SyntheticMatrix;
 use ola_tensor::par::ordered_map;
 use ola_tensor::{Shape4, Tensor};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker threads [`crate::Network::forward`] hands to the kernels when the
-/// caller does not pass an explicit count. Defaults to 1 (serial); the
-/// experiment engine raises it when it has spare budget (single-experiment
-/// runs), keeping nested parallelism from oversubscribing the machine.
-static FORWARD_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default kernel worker count used by
-/// [`crate::Network::forward`].
-///
-/// Results are bit-identical at any value (see the module docs), so this
-/// only trades wall-time; the experiment engine sets it to
-/// `total jobs / concurrent experiments`.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
+/// Forwards to [`ola_tensor::par::set_jobs`]; kept only because `perfbench/probe` calls it.
+#[doc(hidden)]
 pub fn set_forward_jobs(jobs: usize) {
-    assert!(jobs > 0, "kernel worker count must be positive");
-    FORWARD_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Current process-wide default kernel worker count.
-pub fn forward_jobs() -> usize {
-    FORWARD_JOBS.load(Ordering::Relaxed)
+    ola_tensor::par::set_jobs(jobs)
 }
 
 /// Patch-buffer budget per row-tile, in `f32` elements (256 KiB): big
@@ -581,16 +561,10 @@ mod tests {
     }
 
     #[test]
-    fn forward_jobs_round_trips() {
-        assert!(forward_jobs() >= 1);
-        set_forward_jobs(3);
-        assert_eq!(forward_jobs(), 3);
-        set_forward_jobs(1);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_forward_jobs_rejected() {
-        set_forward_jobs(0);
+        // `Network::forward` reads the thread's budget, which never drops
+        // to zero.
+        ola_tensor::par::set_jobs(0);
     }
 }

@@ -285,25 +285,16 @@ impl Network {
     /// Runs full-precision inference, returning every node's output.
     ///
     /// Compute nodes execute on the tiled im2col kernels of
-    /// [`crate::kernels`] with the process-wide default worker count
-    /// ([`crate::kernels::forward_jobs`], default 1); results are
-    /// bit-identical to [`Network::forward_naive`] at any worker count.
+    /// [`crate::kernels`] under the thread's worker budget
+    /// ([`ola_tensor::par::jobs`]); results are bit-identical to
+    /// [`Network::forward_naive`] at any budget.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not match [`Network::input_shape`] (batch size
     /// may differ), or a compute node is missing weights.
     pub fn forward(&self, params: &Params, input: &Tensor) -> Activations {
-        self.forward_with_jobs(params, input, crate::kernels::forward_jobs())
-    }
-
-    /// Runs full-precision inference with an explicit kernel worker count.
-    ///
-    /// # Panics
-    ///
-    /// As [`Network::forward`], plus if `jobs` is zero.
-    pub fn forward_with_jobs(&self, params: &Params, input: &Tensor, jobs: usize) -> Activations {
-        self.forward_impl(params, input, Some(jobs))
+        self.forward_impl(params, input, Some(ola_tensor::par::jobs()))
     }
 
     /// Runs full-precision inference on the naive reference kernels.
@@ -829,7 +820,8 @@ mod tests {
         let input = uniform_tensor(Shape4::new(1, 3, 8, 8), -1.0, 1.0, 4);
         let naive = net.forward_naive(&params, &input);
         for jobs in [1, 3] {
-            let fast = net.forward_with_jobs(&params, &input, jobs);
+            ola_tensor::par::set_jobs(jobs);
+            let fast = net.forward(&params, &input);
             assert_eq!(naive.len(), fast.len());
             for (a, b) in naive.iter().zip(&fast) {
                 let ab: Vec<u32> = a.as_slice().iter().map(|v| v.to_bits()).collect();

@@ -20,11 +20,11 @@
 //! `e`'s shuffle from stream `e`. Each draw is a pure function of
 //! `(seed, stream)` — independent of generation order or worker count — so
 //! dataset synthesis and the per-sample minibatch gradients parallelize
-//! bit-stably: [`SynthNet::train_jobs`] reduces per-sample gradients in
+//! bit-stably: [`SynthNet::train`] reduces per-sample gradients in
 //! sample order at *every* worker count, making the trained weights
 //! byte-identical from `--jobs 1` to `--jobs N`.
 
-use ola_tensor::par::ordered_map;
+use ola_tensor::par::{jobs, ordered_map};
 use rand::rngs::Philox;
 use rand::Rng;
 
@@ -73,8 +73,7 @@ impl SynthDataset {
             })
             .collect();
         let indices: Vec<usize> = (0..n).collect();
-        let jobs = ola_tensor::par::fill_jobs();
-        let samples = ordered_map(&indices, jobs, |_, &j| {
+        let samples = ordered_map(&indices, jobs(), |_, &j| {
             let mut rng = Philox::new(seed, j as u64);
             let k = rng.gen_range(0..classes);
             let scale: f32 = rng.gen_range(0.6..1.4);
@@ -310,46 +309,18 @@ impl SynthNet {
     ///
     /// Top-1 is derivable from the same logits as top-k, so evaluating
     /// both metrics together halves the test-set forwards compared to
-    /// two separate passes.
-    pub fn eval_with<F: FnMut(LayerId, &mut [f32])>(
-        &self,
-        data: &SynthDataset,
-        k: usize,
-        mut act: F,
-    ) -> (f64, f64) {
-        let mut top1 = 0usize;
-        let mut topk = 0usize;
-        for (img, &label) in data.images.iter().zip(&data.labels) {
-            let (t1, tk) = self.eval_image(img, label, k, &mut act);
-            top1 += t1 as usize;
-            topk += tk as usize;
-        }
-        (
-            top1 as f64 / data.len() as f64,
-            topk as f64 / data.len() as f64,
-        )
-    }
-
-    /// [`SynthNet::eval_with`] fanned out over `jobs` workers via
-    /// [`ordered_map`].
-    ///
-    /// Requires a `Fn + Sync` hook (immutable after construction — the
-    /// quantizers are, once calibrated). Each image's `(top1, topk)` pair
-    /// is a pure function of its input; the boolean counts are summed in
-    /// image order, so the result is bit-identical to the serial
-    /// [`SynthNet::eval_with`] at any worker count.
-    pub fn eval_with_jobs<F>(
-        &self,
-        data: &SynthDataset,
-        k: usize,
-        act: F,
-        jobs: usize,
-    ) -> (f64, f64)
+    /// two separate passes. Images fan out over the thread's worker budget
+    /// via [`ordered_map`], so the hook must be `Fn + Sync` (the
+    /// quantizers are immutable once calibrated). Each image's
+    /// `(top1, topk)` pair is a pure function of its input and the counts
+    /// are summed in image order, so the result is bit-identical at any
+    /// budget.
+    pub fn eval_with<F>(&self, data: &SynthDataset, k: usize, act: F) -> (f64, f64)
     where
         F: Fn(LayerId, &mut [f32]) + Sync,
     {
         let indices: Vec<usize> = (0..data.len()).collect();
-        let per_image = ordered_map(&indices, jobs, |_, &i| {
+        let per_image = ordered_map(&indices, jobs(), |_, &i| {
             self.eval_image(&data.images[i], data.labels[i], k, &act)
         });
         let mut top1 = 0usize;
@@ -372,29 +343,14 @@ impl SynthNet {
     /// Trains with SGD + momentum for `epochs` passes over `data`.
     /// Returns the final training accuracy.
     ///
-    /// Uses the process-wide forward-kernel worker budget
-    /// ([`crate::kernels::forward_jobs`]) for the minibatch gradients; see
-    /// [`SynthNet::train_jobs`] for the determinism guarantee.
+    /// The per-sample minibatch gradients fan out over the thread's worker
+    /// budget ([`ola_tensor::par::jobs`]). Each sample's gradient is
+    /// computed independently (any worker, any order) and the per-sample
+    /// gradients are then summed **in sample order** — the same reduction
+    /// shape at every budget — so the trained weights are byte-identical
+    /// from 1 worker to N. The per-epoch shuffle draws from the
+    /// counter-based stream `(seed, epoch)`.
     pub fn train(&mut self, data: &SynthDataset, epochs: usize, lr: f32, seed: u64) -> f64 {
-        self.train_jobs(data, epochs, lr, seed, crate::kernels::forward_jobs())
-    }
-
-    /// [`SynthNet::train`] with an explicit worker count for the per-sample
-    /// minibatch gradients.
-    ///
-    /// Each sample's gradient is computed independently (any worker, any
-    /// order) and the per-sample gradients are then summed **in sample
-    /// order** — the same reduction shape at every `jobs` value — so the
-    /// trained weights are byte-identical from 1 worker to N. The per-epoch
-    /// shuffle draws from the counter-based stream `(seed, epoch)`.
-    pub fn train_jobs(
-        &mut self,
-        data: &SynthDataset,
-        epochs: usize,
-        lr: f32,
-        seed: u64,
-        jobs: usize,
-    ) -> f64 {
         let mut vel = Gradients::zeros(self.classes);
         for epoch in 0..epochs {
             let mut rng = Philox::new(seed, epoch as u64);
@@ -405,7 +361,7 @@ impl SynthNet {
             }
             let lr_e = lr / (1.0 + 0.15 * epoch as f32);
             for batch in order.chunks(16) {
-                let per_sample = ordered_map(batch, jobs, |_, &i| {
+                let per_sample = ordered_map(batch, jobs(), |_, &i| {
                     let mut g = Gradients::zeros(self.classes);
                     self.backward(&data.images[i], data.labels[i], &mut g);
                     g
@@ -906,9 +862,8 @@ mod tests {
     #[test]
     fn dataset_bit_identical_across_worker_counts() {
         let serial = SynthDataset::generate(120, 5, 42);
-        ola_tensor::par::set_fill_jobs(4);
+        ola_tensor::par::set_jobs(4);
         let parallel = SynthDataset::generate(120, 5, 42);
-        ola_tensor::par::set_fill_jobs(1);
         assert_eq!(serial.labels, parallel.labels);
         for (a, b) in serial.images.iter().zip(&parallel.images) {
             assert_eq!(
@@ -932,9 +887,10 @@ mod tests {
     fn training_bit_identical_across_worker_counts() {
         let data = SynthDataset::generate(64, 3, 11);
         let mut serial = SynthNet::new(3, 21);
-        serial.train_jobs(&data, 2, 0.02, 31, 1);
+        serial.train(&data, 2, 0.02, 31);
         let mut parallel = SynthNet::new(3, 21);
-        parallel.train_jobs(&data, 2, 0.02, 31, 3);
+        ola_tensor::par::set_jobs(3);
+        parallel.train(&data, 2, 0.02, 31);
         for layer in LAYERS {
             assert_eq!(
                 serial
@@ -974,7 +930,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_with_jobs_matches_serial_at_any_worker_count() {
+    fn eval_with_matches_serial_at_any_worker_count() {
         let data = SynthDataset::generate(70, 4, 33);
         let net = SynthNet::new(4, 34);
         // A hook that actually perturbs activations, like the quantizers do.
@@ -986,8 +942,9 @@ mod tests {
             }
         };
         let serial = net.eval_with(&data, 2, hook);
-        for jobs in [1, 2, 4] {
-            let par = net.eval_with_jobs(&data, 2, hook, jobs);
+        for jobs in [2, 4] {
+            ola_tensor::par::set_jobs(jobs);
+            let par = net.eval_with(&data, 2, hook);
             assert_eq!(
                 (serial.0.to_bits(), serial.1.to_bits()),
                 (par.0.to_bits(), par.1.to_bits()),

@@ -13,13 +13,13 @@
 //!    the paper's ~0.8% drop; it is a documented stand-in, not a claim of
 //!    ImageNet-level fidelity.
 
-use crate::evalcache::{eval_jobs, eval_key, EvalCache};
+use crate::evalcache::{eval_key, EvalCache};
 use crate::linear::LinearQuantizer;
 use crate::metrics::sqnr_db;
 use crate::outlier::OutlierQuantizer;
 use crate::policy::{OutlierSelect, PolicyQuantizer};
 use ola_nn::synthnet::{LayerId, SynthDataset, SynthNet};
-use ola_tensor::par::ordered_map;
+use ola_tensor::par::{jobs, ordered_map};
 
 /// How many calibration-split images feed the activation-quantizer
 /// calibration pass (the design-time histogram pass of §II). 64 images
@@ -106,9 +106,9 @@ pub struct QuantAccuracy {
 /// when attached): repeated calls with bit-identical inputs — fig2's 3%
 /// point and the policy panel's magnitude row, or a second run of the same
 /// suite — evaluate once. The evaluation itself fans the calibration and
-/// test-set forwards out over the engine's eval worker budget
-/// ([`crate::evalcache::eval_jobs`]); see [`evaluate_synthnet_jobs`] for
-/// the determinism guarantee.
+/// test-set forwards out over the thread's worker budget
+/// ([`ola_tensor::par::jobs`]); see [`evaluate_synthnet_uncached`] for the
+/// determinism guarantee.
 pub fn evaluate_synthnet(
     net: &SynthNet,
     data: &SynthDataset,
@@ -118,25 +118,23 @@ pub fn evaluate_synthnet(
 ) -> QuantAccuracy {
     let key = eval_key(net, data, calib, spec, topk);
     EvalCache::global().eval(key, || {
-        evaluate_synthnet_jobs(net, data, calib, spec, topk, eval_jobs())
+        evaluate_synthnet_uncached(net, data, calib, spec, topk)
     })
 }
 
-/// [`evaluate_synthnet`] with an explicit worker count and **no**
-/// memoization — the cache-bypassing entry point property tests compare
-/// cached results against.
+/// [`evaluate_synthnet`] with **no** memoization — the cache-bypassing
+/// entry point property tests compare cached results against.
 ///
 /// Each image's `(top1, topk)` outcome and each calibration image's
 /// per-layer activation population are pure functions of that image, and
 /// both are merged in image order ([`ordered_map`]'s contract), so the
-/// result is bit-identical at any `jobs`.
-pub fn evaluate_synthnet_jobs(
+/// result is bit-identical at any worker budget.
+pub fn evaluate_synthnet_uncached(
     net: &SynthNet,
     data: &SynthDataset,
     calib: &SynthDataset,
     spec: &QuantSpec,
     topk: usize,
-    jobs: usize,
 ) -> QuantAccuracy {
     // ---- quantize weights (per layer) ----
     let mut outlier_weights = 0usize;
@@ -191,7 +189,7 @@ pub fn evaluate_synthnet_jobs(
     // contiguous per-slot segment, concatenated in image order — the same
     // population byte-for-byte as the old serial loop at any worker count.
     let calib_imgs: Vec<&Vec<f32>> = calib.images.iter().take(CALIB_IMAGES).collect();
-    let per_image = ordered_map(&calib_imgs, jobs, |_, img| {
+    let per_image = ordered_map(&calib_imgs, jobs(), |_, img| {
         let mut slots: [Vec<f32>; 4] = Default::default();
         let _ = qnet.forward_with(img, |layer, a| {
             slots[act_slot(layer)].extend_from_slice(a);
@@ -260,7 +258,7 @@ pub fn evaluate_synthnet_jobs(
             }
         }
     };
-    let (top1, topk_acc) = qnet.eval_with_jobs(data, topk, quantize_act, jobs);
+    let (top1, topk_acc) = qnet.eval_with(data, topk, quantize_act);
     QuantAccuracy {
         top1,
         topk: topk_acc,

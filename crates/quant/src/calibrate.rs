@@ -8,7 +8,7 @@
 
 use crate::outlier::OutlierQuantizer;
 use ola_nn::{Network, NodeId, Params};
-use ola_tensor::par::ordered_map;
+use ola_tensor::par::{jobs, ordered_map};
 use ola_tensor::scan::scan_values;
 use ola_tensor::stats::ValueScan;
 use ola_tensor::Tensor;
@@ -68,15 +68,12 @@ pub fn calibrate_activations(
             collected[k].extend_from_slice(outs[src].as_slice());
         }
     }
-    // One fused statistics pass per layer, layers in parallel. The split of
-    // the worker budget mirrors the forward kernels: as many layers at once
-    // as the budget allows, leftover workers scan within a layer.
-    let jobs = ola_nn::kernels::forward_jobs();
-    let outer = jobs.min(compute.len().max(1));
-    let inner = (jobs / outer).max(1);
+    // One fused statistics pass per layer, layers in parallel: as many
+    // layers at once as the worker budget allows, each layer's share of the
+    // budget scans within it.
     let items: Vec<(NodeId, Vec<f32>)> = compute.iter().copied().zip(collected).collect();
-    ordered_map(&items, outer, |_, (node, values)| {
-        let mut scan = scan_values(values, inner);
+    ordered_map(&items, jobs(), |_, (node, values)| {
+        let mut scan = scan_values(values, jobs());
         calibrate_from_scan(*node, &mut scan, ratio)
     })
 }

@@ -28,35 +28,17 @@
 //! construction — the store keys records by the same content fingerprint
 //! plus a model-code version, so at worst a lookup misses.
 
-use crate::result::{LayerRun, Utilization};
+use crate::result::{LayerRun, NetworkRun, Utilization};
+use crate::timing::{timed, Phase};
+use crate::workload::{LayerWorkload, WorkloadSet};
 use ola_tensor::memo::{Stage, Tier};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use ola_tensor::par::{jobs, ordered_map};
 use std::sync::{Arc, OnceLock};
 
-/// Process-wide default worker count for the model phase (accelerator
-/// `simulate()` over layers), set by the experiment engine from its
-/// `--jobs` split. Zero means "unset": standalone callers fall back to
-/// [`ola_tensor::par::default_jobs`].
-static MODEL_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default model-phase worker count.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
+/// Forwards to [`ola_tensor::par::set_jobs`]; kept only because `perfbench/probe` calls it.
+#[doc(hidden)]
 pub fn set_model_jobs(jobs: usize) {
-    assert!(jobs > 0, "model worker count must be positive");
-    MODEL_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Current process-wide default model-phase worker count:
-/// [`ola_tensor::par::default_jobs`] until [`set_model_jobs`] overrides
-/// it.
-pub fn model_jobs() -> usize {
-    match MODEL_JOBS.load(Ordering::Relaxed) {
-        0 => ola_tensor::par::default_jobs(),
-        j => j,
-    }
+    ola_tensor::par::set_jobs(jobs)
 }
 
 /// The event-driven backend's per-cluster simulation result, in the plain
@@ -161,6 +143,27 @@ impl SimCache {
         self.runs.get(key, build)
     }
 
+    /// Simulates every layer of `ws` through [`SimCache::layer_run`], timed
+    /// as the model phase. Layers fan out over the thread's worker budget
+    /// ([`ordered_map`]) and come back in forward order, so the run is
+    /// byte-identical at any budget. `key` and `simulate` carry
+    /// [`SimCache::layer_run`]'s purity contract per layer.
+    pub fn simulate_network(
+        &self,
+        accelerator: String,
+        ws: &WorkloadSet,
+        key: impl Fn(&LayerWorkload) -> u64 + Sync,
+        simulate: impl Fn(&LayerWorkload) -> LayerRun + Sync,
+    ) -> NetworkRun {
+        timed(Phase::Model, || NetworkRun {
+            accelerator,
+            network: ws.network.clone(),
+            layers: ordered_map(&ws.layers, jobs(), |_, l| {
+                (*self.layer_run(key(l), || simulate(l))).clone()
+            }),
+        })
+    }
+
     /// Fetches or computes (exactly once per key, process-wide) the
     /// event-backend result for `key`. Same purity contract as
     /// [`SimCache::layer_run`] — the event stream's seed must be folded
@@ -242,14 +245,6 @@ mod tests {
         fill();
         let s = cache.stats();
         assert_eq!((s.event_misses, s.run_misses), (1, 1));
-    }
-
-    #[test]
-    fn model_jobs_defaults_then_overrides() {
-        assert!(model_jobs() >= 1);
-        set_model_jobs(3);
-        assert_eq!(model_jobs(), 3);
-        set_model_jobs(ola_tensor::par::default_jobs());
     }
 
     #[test]

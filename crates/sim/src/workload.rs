@@ -11,7 +11,7 @@
 //! calibration population, chunk non-zero counts and zero-quad counts come
 //! out of **one** chunk-major sweep over borrowed lane views
 //! ([`ola_tensor::scan::scan_chunks`]), and layers run concurrently under
-//! the worker budget set by [`set_extract_jobs`]. The result is
+//! the thread's worker budget ([`ola_tensor::par::jobs`]). The result is
 //! byte-identical at any worker count (see [`oracle`] for the retained
 //! multi-pass reference implementation the property tests compare against).
 
@@ -20,30 +20,15 @@ use ola_nn::network::WeightStore;
 use ola_nn::{Network, Op, Params};
 use ola_quant::calibrate::{calibrate_from_scan, LayerCalibration};
 use ola_quant::outlier::OutlierQuantizer;
-use ola_tensor::par::ordered_map;
+use ola_tensor::par::{jobs, ordered_map};
 use ola_tensor::scan::{scan_chunks, scan_values, split_ranges};
 use ola_tensor::stats::{kth_largest_magnitude, ValueScan};
 use ola_tensor::{ChunkView, ChunkViews, Shape4, Tensor, CHUNK_LANES};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide default worker count for workload extraction, set once by
-/// the experiment engine from its `--jobs` split (mirrors
-/// `ola_nn::kernels::set_forward_jobs`).
-static EXTRACT_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default extraction worker count.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
+/// Forwards to [`ola_tensor::par::set_jobs`]; kept only because `perfbench/probe` calls it.
+#[doc(hidden)]
 pub fn set_extract_jobs(jobs: usize) {
-    assert!(jobs > 0, "extraction worker count must be positive");
-    EXTRACT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Current process-wide default extraction worker count.
-pub fn extract_jobs() -> usize {
-    EXTRACT_JOBS.load(Ordering::Relaxed)
+    ola_tensor::par::set_jobs(jobs)
 }
 
 /// Whether a layer is convolutional or fully connected.
@@ -297,39 +282,21 @@ pub fn extract(
 
 /// Like [`extract`], but reuses an existing forward pass — the expensive
 /// part — so several policies (16-bit and 8-bit modes, outlier-ratio
-/// sweeps) can share it. Runs under the worker budget set by
-/// [`set_extract_jobs`].
+/// sweeps) can share it.
+///
+/// Up to the thread's worker budget ([`ola_tensor::par::jobs`]) of layers
+/// extract concurrently, and each layer's share of the budget splits its
+/// scans across chunk ranges. Byte-identical output at any budget.
 pub fn extract_from_acts(
     net: &Network,
     params: &Params,
     outs: &[Tensor],
     policy: &QuantPolicy,
 ) -> WorkloadSet {
-    extract_from_acts_jobs(net, params, outs, policy, extract_jobs())
-}
-
-/// [`extract_from_acts`] with an explicit worker budget: up to `jobs`
-/// layers extract concurrently, and any leftover budget splits the scans
-/// *within* a layer across chunk ranges. Byte-identical output at any
-/// `jobs` value.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn extract_from_acts_jobs(
-    net: &Network,
-    params: &Params,
-    outs: &[Tensor],
-    policy: &QuantPolicy,
-    jobs: usize,
-) -> WorkloadSet {
-    assert!(jobs > 0, "extraction needs at least one worker");
     let shapes = net.shapes();
     let compute = net.compute_nodes();
-    let outer = jobs.min(compute.len().max(1));
-    let inner = (jobs / outer).max(1);
-    let layers = ordered_map(&compute, outer, |index, &node| {
-        extract_layer(net, params, outs, policy, &shapes, index, node, inner)
+    let layers = ordered_map(&compute, jobs(), |index, &node| {
+        extract_layer(net, params, outs, policy, &shapes, index, node)
     });
     WorkloadSet {
         network: net.name().to_string(),
@@ -341,8 +308,7 @@ pub fn extract_from_acts_jobs(
 /// Extracts one compute layer's workload: a single fused sweep over the
 /// input activations (calibration population + chunk non-zero counts +
 /// zero quads in one pass), a two-pass fused weight scan, and the output
-/// zero fraction.
-#[allow(clippy::too_many_arguments)]
+/// zero fraction, under this thread's share of the worker budget.
 fn extract_layer(
     net: &Network,
     params: &Params,
@@ -351,8 +317,8 @@ fn extract_layer(
     shapes: &[Shape4],
     index: usize,
     node: usize,
-    jobs: usize,
 ) -> LayerWorkload {
+    let jobs = jobs();
     let n = &net.nodes()[node];
     let src = n.inputs[0];
     let act = &outs[src];
@@ -1303,7 +1269,8 @@ mod tests {
         let policy = QuantPolicy::olaccel16("alexnet");
         let reference = oracle::extract_from_acts(&net, &params, &outs, &policy);
         for jobs in [1, 2, 3, 8] {
-            let fused = extract_from_acts_jobs(&net, &params, &outs, &policy, jobs);
+            ola_tensor::par::set_jobs(jobs);
+            let fused = extract_from_acts(&net, &params, &outs, &policy);
             assert!(
                 fused.bitwise_eq(&reference),
                 "fused extraction diverged from the multi-pass oracle at jobs={jobs}"

@@ -23,39 +23,47 @@ use std::sync::OnceLock;
 /// [`code_version`] instead.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Source files whose text determines artifact bytes. Paths are relative
-/// to `crates/store/src/`.
-const SOURCES: &[&str] = &[
+/// `(path, text)` for each listed source file, the text embedded with
+/// `include_str!` (which also registers the file with cargo's rebuild
+/// tracking). Paths are relative to `crates/store/src/`.
+macro_rules! folds {
+    ($($path:literal),* $(,)?) => {
+        &[$(($path, include_str!($path))),*]
+    };
+}
+
+/// Source files whose text determines artifact bytes.
+const SOURCES: &[(&str, &str)] = folds![
     // Tensor substrate: RNG-driven init, scans and chunking feed every
     // synthesized parameter and every measured statistic.
-    include_str!("../../tensor/src/tensor.rs"),
-    include_str!("../../tensor/src/shape.rs"),
-    include_str!("../../tensor/src/init.rs"),
-    include_str!("../../tensor/src/chunk.rs"),
-    include_str!("../../tensor/src/scan.rs"),
-    include_str!("../../tensor/src/stats.rs"),
-    include_str!("../../tensor/src/par.rs"),
+    "../../tensor/src/tensor.rs",
+    "../../tensor/src/shape.rs",
+    "../../tensor/src/init.rs",
+    "../../tensor/src/chunk.rs",
+    "../../tensor/src/scan.rs",
+    "../../tensor/src/stats.rs",
+    "../../tensor/src/par.rs",
     // Network substrate: graph construction, synthetic parameters, the
     // forward pass that produces the cached activations.
-    include_str!("../../nn/src/layer.rs"),
-    include_str!("../../nn/src/network.rs"),
-    include_str!("../../nn/src/kernels.rs"),
-    include_str!("../../nn/src/synth.rs"),
-    include_str!("../../nn/src/zoo.rs"),
+    "../../nn/src/layer.rs",
+    "../../nn/src/network.rs",
+    "../../nn/src/kernels.rs",
+    "../../nn/src/synth.rs",
+    "../../nn/src/zoo.rs",
     // Quantization: calibration and outlier selection shape the workload
     // statistics.
-    include_str!("../../quant/src/calibrate.rs"),
-    include_str!("../../quant/src/outlier.rs"),
-    include_str!("../../quant/src/policy.rs"),
+    "../../quant/src/calibrate.rs",
+    "../../quant/src/outlier.rs",
+    "../../quant/src/policy.rs",
     // Simulation: the extraction pass itself plus the policy definition.
-    include_str!("../../sim/src/workload.rs"),
-    include_str!("../../sim/src/policy.rs"),
+    "../../sim/src/workload.rs",
+    "../../sim/src/policy.rs",
     // The RNG every synthetic value flows through.
-    include_str!("../../../vendored/rand/src/lib.rs"),
+    "../../../vendored/rand/src/lib.rs",
     // The preparation pipeline that orchestrates all of the above (seed
     // derivation, activation-sparsity shaping). Text-only include — no
     // crate dependency cycle.
-    include_str!("../../harness/src/prep.rs"),
+    "../../harness/src/prep.rs",
 ];
 
 /// Source files whose text determines *simulation result* bytes — the
@@ -64,31 +72,33 @@ const SOURCES: &[&str] = &[
 /// prepared artifacts without also discarding still-valid sim records (and
 /// vice versa). Like [`SOURCES`], text-only includes — `ola-store` has no
 /// crate dependency on `ola-core`/`ola-baselines`.
-const MODEL_SOURCES: &[&str] = &[
+const MODEL_SOURCES: &[(&str, &str)] = folds![
     // OLAccel's analytic model and the event-driven validation backend.
-    include_str!("../../core/src/model.rs"),
-    include_str!("../../core/src/cost.rs"),
-    include_str!("../../core/src/dispatch.rs"),
-    include_str!("../../core/src/event.rs"),
+    "../../core/src/model.rs",
+    "../../core/src/cost.rs",
+    "../../core/src/dispatch.rs",
+    "../../core/src/event.rs",
     // Baseline accelerator models.
-    include_str!("../../baselines/src/eyeriss.rs"),
-    include_str!("../../baselines/src/zena.rs"),
+    "../../baselines/src/eyeriss.rs",
+    "../../baselines/src/zena.rs",
     // The energy/area model every accelerator prices its cycles with.
-    include_str!("../../energy/src/account.rs"),
-    include_str!("../../energy/src/config.rs"),
-    include_str!("../../energy/src/dram.rs"),
-    include_str!("../../energy/src/mac.rs"),
-    include_str!("../../energy/src/params.rs"),
-    include_str!("../../energy/src/sram.rs"),
+    "../../energy/src/account.rs",
+    "../../energy/src/config.rs",
+    "../../energy/src/dram.rs",
+    "../../energy/src/mac.rs",
+    "../../energy/src/params.rs",
+    "../../energy/src/sram.rs",
     // Sim-level inputs: workload statistics (and their fingerprint),
-    // traffic model, result records, the cache keying machinery itself.
-    include_str!("../../sim/src/workload.rs"),
-    include_str!("../../sim/src/traffic.rs"),
-    include_str!("../../sim/src/result.rs"),
-    include_str!("../../sim/src/simcache.rs"),
-    include_str!("../../tensor/src/memo.rs"),
+    // traffic model and the chunk formats it sizes, result records, the
+    // cache keying machinery itself.
+    "../../sim/src/workload.rs",
+    "../../sim/src/traffic.rs",
+    "../../quant/src/chunks.rs",
+    "../../sim/src/result.rs",
+    "../../sim/src/simcache.rs",
+    "../../tensor/src/memo.rs",
     // The RNG behind the event backend's multi-outlier draws.
-    include_str!("../../../vendored/rand/src/lib.rs"),
+    "../../../vendored/rand/src/lib.rs",
 ];
 
 /// Source files whose text determines *accuracy evaluation* bytes — the
@@ -97,31 +107,31 @@ const MODEL_SOURCES: &[&str] = &[
 /// or extraction edits don't discard still-valid eval records (and an eval
 /// edit doesn't discard prep or sim artifacts). Text-only includes — no
 /// crate dependency on `ola-quant` needed.
-const EVAL_SOURCES: &[&str] = &[
+const EVAL_SOURCES: &[(&str, &str)] = folds![
     // The evaluation pipeline itself: quantize, calibrate, forward, plus
     // the cache keying machinery.
-    include_str!("../../quant/src/accuracy.rs"),
-    include_str!("../../quant/src/evalcache.rs"),
-    include_str!("../../quant/src/calibrate.rs"),
-    include_str!("../../quant/src/linear.rs"),
-    include_str!("../../quant/src/outlier.rs"),
-    include_str!("../../quant/src/policy.rs"),
+    "../../quant/src/accuracy.rs",
+    "../../quant/src/evalcache.rs",
+    "../../quant/src/calibrate.rs",
+    "../../quant/src/linear.rs",
+    "../../quant/src/outlier.rs",
+    "../../quant/src/policy.rs",
     // The network the accuracy figures run on (training, forward, eval).
-    include_str!("../../nn/src/synthnet.rs"),
+    "../../nn/src/synthnet.rs",
     // Shared substrate the quantizers and SynthNet lean on.
-    include_str!("../../tensor/src/stats.rs"),
-    include_str!("../../tensor/src/par.rs"),
-    include_str!("../../tensor/src/memo.rs"),
+    "../../tensor/src/stats.rs",
+    "../../tensor/src/par.rs",
+    "../../tensor/src/memo.rs",
     // The RNG behind dataset synthesis and training shuffles.
-    include_str!("../../../vendored/rand/src/lib.rs"),
+    "../../../vendored/rand/src/lib.rs",
 ];
 
 /// Length-framed FNV-1a fold over [`FORMAT_VERSION`] and `sources` — file
 /// lengths are folded in between texts so content can't slide across file
 /// boundaries ("ab" + "c" vs "a" + "bc").
-fn sources_version(sources: &[&str]) -> u64 {
+fn sources_version(sources: &[(&str, &str)]) -> u64 {
     let mut h = fnv1a64(&FORMAT_VERSION.to_le_bytes());
-    for src in sources {
+    for (_, src) in sources {
         h ^= fnv1a64(&(src.len() as u64).to_le_bytes());
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
         h ^= fnv1a64(src.as_bytes());
@@ -161,6 +171,108 @@ pub fn eval_version() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+
+    // Why a file's text cannot change the bytes of a stored artifact.
+    const DECLS: &str = "module declarations and re-exports";
+    const FORMAT: &str = "container encoding, versioned by FORMAT_VERSION";
+    const UNSTORED: &str = "computes values no stage stores";
+    const PLUMBING: &str = "CLI, scheduling or daemon plumbing";
+    const RENDERS: &str = "renders reports; its inputs reach the store only via keys";
+
+    /// Files of the hashed crates that no fold includes, with the reason.
+    /// Paths are relative to `crates/`.
+    const UNFOLDED: &[(&str, &str)] = &[
+        ("baselines/src/lib.rs", DECLS),
+        ("core/src/lib.rs", DECLS),
+        ("energy/src/lib.rs", DECLS),
+        ("nn/src/lib.rs", DECLS),
+        ("quant/src/lib.rs", DECLS),
+        ("sim/src/lib.rs", DECLS),
+        ("tensor/src/lib.rs", DECLS),
+        ("tensor/src/bytes.rs", FORMAT),
+        ("quant/src/metrics.rs", UNSTORED),
+        ("sim/src/timing.rs", UNSTORED),
+        ("core/src/datapath.rs", UNSTORED),
+        ("core/src/functional.rs", UNSTORED),
+        ("core/src/tribuffer.rs", UNSTORED),
+        ("core/src/scale.rs", UNSTORED),
+        ("harness/src/bin/olaccel_repro.rs", PLUMBING),
+        ("harness/src/cli.rs", PLUMBING),
+        ("harness/src/engine.rs", PLUMBING),
+        ("harness/src/lib.rs", PLUMBING),
+        ("harness/src/server.rs", PLUMBING),
+        ("harness/src/timing.rs", PLUMBING),
+        ("harness/src/report.rs", RENDERS),
+        ("harness/src/summary.rs", RENDERS),
+        ("harness/src/table1.rs", RENDERS),
+        ("harness/src/fig01.rs", RENDERS),
+        ("harness/src/fig02.rs", RENDERS),
+        ("harness/src/fig03.rs", RENDERS),
+        ("harness/src/fig11_13.rs", RENDERS),
+        ("harness/src/fig14.rs", RENDERS),
+        ("harness/src/fig15.rs", RENDERS),
+        ("harness/src/fig16.rs", RENDERS),
+        ("harness/src/fig17.rs", RENDERS),
+        ("harness/src/fig18.rs", RENDERS),
+        ("harness/src/fig19.rs", RENDERS),
+        ("harness/src/policy_panel.rs", RENDERS),
+        ("harness/src/sensitivity.rs", RENDERS),
+        ("harness/src/validate.rs", RENDERS),
+    ];
+
+    fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// A file missing from every fold would let the store serve artifacts
+    /// its edits made stale, so each file under the `src/` trees the folds
+    /// draw from must be folded or exempted above.
+    #[test]
+    fn every_source_file_is_folded_or_exempt() {
+        let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let folded: Vec<&str> = [SOURCES, MODEL_SOURCES, EVAL_SOURCES]
+            .concat()
+            .iter()
+            .map(|(path, _)| path.strip_prefix("../../").unwrap())
+            .collect();
+        let mut roots: Vec<&str> = folded
+            .iter()
+            .map(|p| &p[..p.find("/src/").unwrap()])
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
+        let mut unlisted = Vec::new();
+        for root in roots {
+            let mut files = Vec::new();
+            rust_files(&crates_dir.join(root).join("src"), &mut files);
+            for file in files {
+                let rel = file
+                    .strip_prefix(&crates_dir)
+                    .unwrap()
+                    .display()
+                    .to_string();
+                if !folded.contains(&rel.as_str()) && !UNFOLDED.iter().any(|(p, _)| *p == rel) {
+                    unlisted.push(rel);
+                }
+            }
+        }
+        assert!(
+            unlisted.is_empty(),
+            "fold or exempt (with a reason): {unlisted:?}"
+        );
+        for (path, _) in UNFOLDED {
+            assert!(crates_dir.join(path).is_file(), "stale exemption {path}");
+            assert!(!folded.contains(path), "{path} is both folded and exempt");
+        }
+    }
 
     #[test]
     fn code_version_is_stable_within_a_build() {

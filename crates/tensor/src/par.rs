@@ -12,7 +12,20 @@
 //! convolution output row-tiles across workers, the accelerator models in
 //! `ola-core` simulate a network's layers in parallel, and `ola-harness`'s
 //! experiment engine runs whole figures on the same work-queue discipline.
+//!
+//! # The worker budget
+//!
+//! How wide a computation may fan out is one per-thread number, read with
+//! [`jobs`] and set with [`set_jobs`]; a thread that never set it has
+//! budget 1. [`ordered_map`] and [`fill_indexed`] start every worker they
+//! spawn with `max(1, budget / workers)` of the spawning thread's budget,
+//! so nested parallelism (experiments → layers → row tiles) splits one
+//! budget instead of multiplying it, and two threads with different
+//! budgets — two daemon requests, say — never see each other's value.
+//! Every result in the workspace is byte-identical at any budget; it only
+//! trades wall time.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -23,27 +36,35 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker threads the random-fill paths ([`crate::init`]) use when the
-/// caller does not pass an explicit count. Defaults to 1 (serial); the
-/// experiment engine raises it alongside the forward-kernel budget. Fills
-/// are bit-identical at any value — every element is a pure function of
-/// its index under the counter-based seeding contract — so this only
-/// trades wall-time.
-static FILL_JOBS: AtomicUsize = AtomicUsize::new(1);
+thread_local! {
+    static JOBS: Cell<usize> = const { Cell::new(1) };
+}
 
-/// Sets the process-wide default worker count for the random-fill paths.
+/// This thread's worker budget (1 unless [`set_jobs`] raised it, or the
+/// thread is a worker of [`ordered_map`] / [`fill_indexed`]).
+pub fn jobs() -> usize {
+    JOBS.with(Cell::get)
+}
+
+/// Sets this thread's worker budget; other threads are unaffected.
 ///
 /// # Panics
 ///
 /// Panics if `jobs` is zero.
-pub fn set_fill_jobs(jobs: usize) {
-    assert!(jobs > 0, "fill worker count must be positive");
-    FILL_JOBS.store(jobs, Ordering::Relaxed);
+pub fn set_jobs(jobs: usize) {
+    assert!(jobs > 0, "worker budget must be positive");
+    JOBS.with(|j| j.set(jobs));
 }
 
-/// Current process-wide default random-fill worker count.
-pub fn fill_jobs() -> usize {
-    FILL_JOBS.load(Ordering::Relaxed)
+/// The budget each of `workers` threads spawned from this thread inherits.
+fn worker_budget(workers: usize) -> usize {
+    (jobs() / workers).max(1)
+}
+
+/// Forwards to [`set_jobs`]; kept only because `perfbench/probe` calls it.
+#[doc(hidden)]
+pub fn set_fill_jobs(jobs: usize) {
+    set_jobs(jobs)
 }
 
 /// Fills `out[i] = f(i)` for every index, splitting contiguous chunks
@@ -71,10 +92,12 @@ where
         return;
     }
     let chunk = out.len().div_ceil(jobs);
+    let budget = worker_budget(out.len().div_ceil(chunk));
     std::thread::scope(|scope| {
         for (ci, slice) in out.chunks_mut(chunk).enumerate() {
             let f = &f;
             scope.spawn(move || {
+                set_jobs(budget);
                 let base = ci * chunk;
                 for (j, slot) in slice.iter_mut().enumerate() {
                     *slot = f(base + j);
@@ -108,12 +131,17 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let workers = jobs.min(items.len());
+    let budget = worker_budget(workers);
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(items.len()) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(f(i, item));
+        for _ in 0..workers {
+            scope.spawn(|| {
+                set_jobs(budget);
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    *slots[i].lock().unwrap() = Some(f(i, item));
+                }
             });
         }
     });
@@ -188,10 +216,33 @@ mod tests {
     }
 
     #[test]
-    fn fill_jobs_roundtrip() {
-        assert!(fill_jobs() >= 1);
-        set_fill_jobs(3);
-        assert_eq!(fill_jobs(), 3);
-        set_fill_jobs(1);
+    fn workers_inherit_an_even_share_of_the_budget() {
+        set_jobs(8);
+        // 3 workers: 8 / 3 = 2 each; 16 workers: never below 1.
+        assert_eq!(ordered_map(&[0u8; 3], 3, |_, _| jobs()), [2, 2, 2]);
+        assert_eq!(ordered_map(&[0u8; 20], 16, |_, _| jobs()), [1; 20]);
+        let mut seen = [0usize; 4];
+        fill_indexed(&mut seen, 2, |_| jobs());
+        assert_eq!(seen, [4; 4]);
+        // Inline runs keep the caller's budget; the caller's is untouched.
+        assert_eq!(ordered_map(&[0u8], 4, |_, _| jobs()), [8]);
+        assert_eq!(jobs(), 8);
+    }
+
+    #[test]
+    fn each_thread_reads_its_own_budget() {
+        assert_eq!(jobs(), 1, "a fresh thread starts at budget 1");
+        let barrier = std::sync::Barrier::new(2);
+        let read_once_both_are_set = |n| {
+            set_jobs(n);
+            barrier.wait();
+            jobs()
+        };
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| read_once_both_are_set(3));
+            let b = scope.spawn(|| read_once_both_are_set(5));
+            assert_eq!((a.join().unwrap(), b.join().unwrap()), (3, 5));
+        });
+        assert_eq!(jobs(), 1);
     }
 }

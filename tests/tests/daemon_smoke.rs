@@ -1,8 +1,10 @@
 //! In-process smoke test of the `serve` daemon: two concurrent identical
 //! requests coalesce onto one computation and receive byte-identical
-//! payloads, the protocol's small commands answer, a path-like request
-//! against the disk store fails cleanly, and `shutdown` drains cleanly and
-//! removes the socket.
+//! payloads, concurrent requests with different `--jobs` each get the
+//! one-shot bytes, the protocol's small commands answer, a path-like
+//! request against the disk store, an oversized line and an oversized
+//! `--jobs` fail cleanly, and `shutdown` drains cleanly and removes the
+//! socket.
 //!
 //! This file holds a single `#[test]` on purpose — the daemon runs
 //! experiments through the global [`ola_harness::prep::PrepCache`] and the
@@ -111,7 +113,31 @@ fn daemon_coalesces_and_shuts_down_cleanly() {
         "coalescing failed or stats wrong:\n{stats}"
     );
 
+    // Concurrent requests with different worker budgets: each payload is
+    // the one-shot stdout (the report plus `println!`'s newline).
+    let requests = [("fig17", 1), ("table1", 2)];
+    std::thread::scope(|scope| {
+        let socket = &socket;
+        let handles = requests.map(|(name, jobs)| {
+            scope.spawn(move || roundtrip(socket, &format!("run {name} --jobs {jobs}")).1)
+        });
+        for (handle, (name, _)) in handles.into_iter().zip(requests) {
+            let one_shot = ola_harness::run_experiment(name, true) + "\n";
+            assert_eq!(handle.join().unwrap(), one_shot.into_bytes(), "{name}");
+        }
+    });
+
+    // A line past the cap is refused and its connection closed. The daemon
+    // stops reading at the cap, so the rest of the write may fail.
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert_eq!(reply, "err request line too long\n");
+
     // Bad requests answer with `err ...` and leave the daemon serviceable.
+    let (h, _) = roundtrip(&socket, "run fig1 --jobs 1000000");
+    assert!(h.starts_with("err "), "--jobs over the cap: {h}");
     let (h, _) = roundtrip(&socket, "run fig99");
     assert!(h.starts_with("err "), "got: {h}");
     let (h, _) = roundtrip(&socket, "run __panic");

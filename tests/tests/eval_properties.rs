@@ -8,7 +8,7 @@
 mod common;
 
 use ola_nn::synthnet::{SynthDataset, SynthNet};
-use ola_quant::accuracy::{evaluate_synthnet_jobs, QuantAccuracy, QuantSpec};
+use ola_quant::accuracy::{evaluate_synthnet_uncached, QuantAccuracy, QuantSpec};
 use ola_quant::evalcache::eval_key;
 use ola_quant::policy::OutlierSelect;
 use ola_quant::EvalCache;
@@ -84,9 +84,11 @@ proptest! {
     ) {
         let (spec, topk) = st;
         let (net, data, calib) = fixture(seed);
-        let serial = evaluate_synthnet_jobs(&net, &data, &calib, &spec, topk, 1);
+        ola_tensor::par::set_jobs(1);
+        let serial = evaluate_synthnet_uncached(&net, &data, &calib, &spec, topk);
         for jobs in [2usize, 4] {
-            let par = evaluate_synthnet_jobs(&net, &data, &calib, &spec, topk, jobs);
+            ola_tensor::par::set_jobs(jobs);
+            let par = evaluate_synthnet_uncached(&net, &data, &calib, &spec, topk);
             assert_acc_bitwise_eq(&par, &serial);
         }
     }
@@ -101,10 +103,10 @@ proptest! {
     ) {
         let (spec, topk) = st;
         let (net, data, calib) = fixture(seed);
-        let fresh = evaluate_synthnet_jobs(&net, &data, &calib, &spec, topk, 2);
+        let fresh = evaluate_synthnet_uncached(&net, &data, &calib, &spec, topk);
         let cache = EvalCache::new();
         let key = eval_key(&net, &data, &calib, &spec, topk);
-        let first = cache.eval(key, || evaluate_synthnet_jobs(&net, &data, &calib, &spec, topk, 2));
+        let first = cache.eval(key, || evaluate_synthnet_uncached(&net, &data, &calib, &spec, topk));
         let second = cache.eval(key, || panic!("resident entry must hit"));
         assert_acc_bitwise_eq(&first, &fresh);
         assert_acc_bitwise_eq(&second, &fresh);
@@ -118,7 +120,7 @@ proptest! {
     fn top1_never_exceeds_topk(st in quant_spec(), seed in 1u64..512) {
         let (spec, topk) = st;
         let (net, data, calib) = fixture(seed);
-        let acc = evaluate_synthnet_jobs(&net, &data, &calib, &spec, topk, 2);
+        let acc = evaluate_synthnet_uncached(&net, &data, &calib, &spec, topk);
         prop_assert!(acc.top1 <= acc.topk + 1e-12, "top1 {} > top{} {}", acc.top1, topk, acc.topk);
     }
 }
@@ -138,7 +140,7 @@ fn disk_tier_round_trips_without_recompute() {
     let warm = EvalCache::new();
     warm.set_store(Some(store.clone()));
     let first = warm.eval(key, || {
-        evaluate_synthnet_jobs(&net, &data, &calib, &spec, 5, 2)
+        evaluate_synthnet_uncached(&net, &data, &calib, &spec, 5)
     });
     let s = warm.stats();
     assert_eq!((s.misses, s.disk_hits, s.disk_misses), (1, 0, 1));
@@ -175,7 +177,7 @@ fn corrupt_disk_record_degrades_to_recompute() {
     let warm = EvalCache::new();
     warm.set_store(Some(artifact.clone()));
     let first = warm.eval(key, || {
-        evaluate_synthnet_jobs(&net, &data, &calib, &spec, 3, 1)
+        evaluate_synthnet_uncached(&net, &data, &calib, &spec, 3)
     });
 
     // Truncate the record on disk.
@@ -186,7 +188,7 @@ fn corrupt_disk_record_degrades_to_recompute() {
     let cold = EvalCache::new();
     cold.set_store(Some(artifact.clone()));
     let rebuilt = cold.eval(key, || {
-        evaluate_synthnet_jobs(&net, &data, &calib, &spec, 3, 1)
+        evaluate_synthnet_uncached(&net, &data, &calib, &spec, 3)
     });
     assert_acc_bitwise_eq(&rebuilt, &first);
     let s = cold.stats();

@@ -24,7 +24,7 @@ use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::{Conv2dSpec, LinearSpec, Network, Op};
 use ola_quant::{OutlierQuantizer, OutlierSelect};
 use ola_sim::policy::FirstLayerPolicy;
-use ola_sim::workload::{extract_from_acts_jobs, grid_chunk_stats, oracle, WeightChunkStats};
+use ola_sim::workload::{extract_from_acts, grid_chunk_stats, oracle, WeightChunkStats};
 use ola_sim::QuantPolicy;
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::{ConvGeometry, Shape4};
@@ -486,7 +486,8 @@ proptest! {
             ..QuantPolicy::olaccel16("alexnet")
         };
         let reference = oracle::extract_from_acts(&net, &params, &acts, &policy);
-        let fused = extract_from_acts_jobs(&net, &params, &acts, &policy, jobs);
+        ola_tensor::par::set_jobs(jobs);
+        let fused = extract_from_acts(&net, &params, &acts, &policy);
         prop_assert!(
             fused.bitwise_eq(&reference),
             "magnitude extraction drifted from the pre-trait oracle at jobs={jobs}"

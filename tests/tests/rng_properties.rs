@@ -75,16 +75,15 @@ proptest! {
     ) {
         let small = Shape4::new(1, 1, 40, 50);
         let large = Shape4::new(1, 2, 40, 50);
-        ola_tensor::par::set_fill_jobs(1);
+        ola_tensor::par::set_jobs(1);
         let h1 = heavy_tailed_tensor(large, HeavyTailed::default(), seed);
         let g1 = gaussian_tensor(large, 0.5, seed);
         let u1 = uniform_tensor(large, -2.0, 2.0, seed);
-        ola_tensor::par::set_fill_jobs(jobs);
+        ola_tensor::par::set_jobs(jobs);
         let h2 = heavy_tailed_tensor(large, HeavyTailed::default(), seed);
         let g2 = gaussian_tensor(large, 0.5, seed);
         let u2 = uniform_tensor(large, -2.0, 2.0, seed);
         let h_small = heavy_tailed_tensor(small, HeavyTailed::default(), seed);
-        ola_tensor::par::set_fill_jobs(1);
         prop_assert_eq!(bits(h1.as_slice()), bits(h2.as_slice()));
         prop_assert_eq!(bits(g1.as_slice()), bits(g2.as_slice()));
         prop_assert_eq!(bits(u1.as_slice()), bits(u2.as_slice()));
@@ -148,11 +147,10 @@ proptest! {
         classes in 2usize..6,
         jobs in 2usize..5,
     ) {
-        ola_tensor::par::set_fill_jobs(1);
+        ola_tensor::par::set_jobs(1);
         let serial = SynthDataset::generate(n, classes, seed);
-        ola_tensor::par::set_fill_jobs(jobs);
+        ola_tensor::par::set_jobs(jobs);
         let parallel = SynthDataset::generate(n, classes, seed);
-        ola_tensor::par::set_fill_jobs(1);
         prop_assert_eq!(&serial.labels, &parallel.labels);
         for (a, b) in serial.images.iter().zip(&parallel.images) {
             prop_assert_eq!(bits(a), bits(b));
@@ -169,12 +167,13 @@ fn training_is_worker_count_independent() {
     let data = SynthDataset::generate(96, 4, 0x7E57);
     let reference = {
         let mut net = SynthNet::new(4, 0x1111);
-        net.train_jobs(&data, 2, 0.02, 0x2222, 1);
+        net.train(&data, 2, 0.02, 0x2222);
         net
     };
     for jobs in [2, 4] {
+        ola_tensor::par::set_jobs(jobs);
         let mut net = SynthNet::new(4, 0x1111);
-        net.train_jobs(&data, 2, 0.02, 0x2222, jobs);
+        net.train(&data, 2, 0.02, 0x2222);
         for layer in LAYERS {
             assert_eq!(
                 bits(reference.weights(layer)),

@@ -135,9 +135,8 @@ proptest! {
             let zena = ZenaSim::new(tech, mode);
             let eye = EyerissSim::new(tech, mode);
             for jobs in [1usize, 2, 4] {
-                let runs = [ola.simulate_with_jobs(&ws, jobs),
-                            zena.simulate_with_jobs(&ws, jobs),
-                            eye.simulate_with_jobs(&ws, jobs)];
+                ola_tensor::par::set_jobs(jobs);
+                let runs = [ola.simulate(&ws), zena.simulate(&ws), eye.simulate(&ws)];
                 for (cached, fresh_fn) in runs.iter().zip([
                     &(|l: &LayerWorkload| ola.simulate_layer(l, &mem))
                         as &dyn Fn(&LayerWorkload) -> LayerRun,

@@ -18,7 +18,7 @@ use ola_harness::prep::Prepared;
 use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::{Conv2dSpec, LinearSpec, Network, Op};
 use ola_sim::policy::FirstLayerPolicy;
-use ola_sim::workload::{extract_from_acts_jobs, oracle, WorkloadSet};
+use ola_sim::workload::{extract_from_acts, oracle, WorkloadSet};
 use ola_sim::{OutlierSelect, QuantPolicy};
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::{ConvGeometry, Shape4, CHUNK_LANES};
@@ -191,7 +191,8 @@ proptest! {
         policy.select = select_from(sel, window);
         let p = prep();
         let reference = oracle::extract_from_acts(&p.net, &p.params, &p.acts, &policy);
-        let fused = extract_from_acts_jobs(&p.net, &p.params, &p.acts, &policy, jobs);
+        ola_tensor::par::set_jobs(jobs);
+        let fused = extract_from_acts(&p.net, &p.params, &p.acts, &policy);
         prop_assert!(
             fused.bitwise_eq(&reference),
             "fused extraction diverged from oracle at jobs={jobs}, ratio={ratio}, \
@@ -241,7 +242,8 @@ proptest! {
         let mut policy = policy_from(ratio, true, 0, 4);
         policy.select = select_from(sel, window);
         let reference = oracle::extract_from_acts(&net, &params, &acts, &policy);
-        let fused = extract_from_acts_jobs(&net, &params, &acts, &policy, jobs);
+        ola_tensor::par::set_jobs(jobs);
+        let fused = extract_from_acts(&net, &params, &acts, &policy);
         prop_assert!(
             fused.bitwise_eq(&reference),
             "random net (cin={cin}, cmid={cmid}, s={spatial}, k={kernel}) \
