@@ -16,7 +16,7 @@
 //! outcome, and re-raised by [`run_suite`] after every worker has drained —
 //! one broken figure doesn't strand the queue mid-run.
 
-use crate::prep::{CacheStats, PrepCache};
+use crate::prep::{CacheStats, FigureStats, PrepCache};
 use crate::timing::{self, PhaseStats};
 use ola_quant::{EvalCache, EvalStats};
 use ola_sim::{SimCache, SimStats};
@@ -52,6 +52,8 @@ pub struct SuiteResult {
     pub sim: SimStats,
     /// Accuracy-eval cache counters accumulated during the run.
     pub eval: EvalStats,
+    /// Figure-level stage counters accumulated during the run.
+    pub figures: FigureStats,
     /// Per-phase wall time accumulated during the run (summed across
     /// workers, so comparable to [`SuiteResult::busy`], not `total_wall`).
     pub phases: PhaseStats,
@@ -94,6 +96,8 @@ impl SuiteResult {
         out.push('\n');
         out.push_str(&self.eval.render());
         out.push('\n');
+        out.push_str(&self.figures.render());
+        out.push('\n');
         out
     }
 }
@@ -134,6 +138,7 @@ where
     let stats_before = PrepCache::global().stats();
     let sim_before = SimCache::global().stats();
     let eval_before = EvalCache::global().stats();
+    let figures_before = FigureStats::global();
     let phases_before = timing::snapshot();
     let mut outcomes: Vec<ExperimentOutcome> = Vec::with_capacity(names.len());
     let (finished, arrivals) = mpsc::channel();
@@ -181,6 +186,7 @@ where
         cache: stats_after.since(&stats_before),
         sim: SimCache::global().stats().since(&sim_before),
         eval: EvalCache::global().stats().since(&eval_before),
+        figures: FigureStats::global().since(&figures_before),
         phases: timing::snapshot().since(&phases_before),
         outcomes,
     };

@@ -47,7 +47,7 @@ use ola_store::codec::{decode_params, decode_tensor, encode_params, encode_tenso
 use ola_store::wire::{Reader, Writer};
 use ola_store::{code_version, Artifact, ArtifactStore, StoreError};
 use ola_tensor::init::uniform_tensor;
-use ola_tensor::memo::{Fingerprint, Stage};
+use ola_tensor::memo::{Fingerprint, Stage, StageStats};
 use ola_tensor::Tensor;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -153,9 +153,7 @@ impl Prepared {
         params: Params,
         acts: Vec<Tensor>,
     ) -> Result<Self, String> {
-        let net = zoo::try_by_name(network, &zoo_config(scale))
-            .filter(|_| scale > 0)
-            .ok_or_else(|| format!("no zoo network {network:?} at scale {scale}"))?;
+        let net = zoo_graph(network, scale)?;
         let nodes = net.nodes().len();
         if params.len() != nodes || acts.len() != nodes {
             return Err(format!(
@@ -213,6 +211,16 @@ pub(crate) fn zoo_config(scale: usize) -> ZooConfig {
         include_classifier: true,
         batch: 1,
     }
+}
+
+/// The zoo graph of `network` at `scale`, or why there is none (an
+/// unknown name, or a zero scale the zoo would panic on) — the check a
+/// stored record naming a network passes before anything is built.
+pub(crate) fn zoo_graph(network: &str, scale: usize) -> Result<Network, String> {
+    (scale > 0)
+        .then(|| zoo::try_by_name(network, &zoo_config(scale)))
+        .flatten()
+        .ok_or_else(|| format!("no zoo network {network:?} at scale {scale}"))
 }
 
 /// The persisted form of a prepared network: its key fields, then the
@@ -313,16 +321,76 @@ impl CacheStats {
 
 /// Attaches the persistent disk tier at `dir` to *every* process-wide
 /// cache: the [`PrepCache`] (prepared networks, workload sets), the
-/// model-phase [`ola_sim::SimCache`] (per-layer simulation results) and
-/// the eval-phase [`ola_quant::EvalCache`] (quantized-accuracy results).
-/// This is what `--cache-dir` wires up in the CLI and the daemon — one
-/// flag, one directory, every cache level persistent.
+/// model-phase [`ola_sim::SimCache`] (per-layer simulation results), the
+/// eval-phase [`ola_quant::EvalCache`] (quantized-accuracy results) and
+/// the figure-level stages (see [`FigureStats`]). This is what
+/// `--cache-dir` wires up in the CLI and the daemon — one flag, one
+/// directory, every cache level persistent.
 pub fn attach_disk_store(dir: &Path) -> Result<(), StoreError> {
     PrepCache::global().set_disk(Some(dir))?;
     let store = Arc::new(ArtifactStore::open(dir)?);
     ola_sim::SimCache::global().set_store(Some(store.clone()));
-    ola_quant::EvalCache::global().set_store(Some(store));
+    ola_quant::EvalCache::global().set_store(Some(store.clone()));
+    crate::fig02::TRAINED.set_tier(Some(store.clone()));
+    crate::fig03::SURROGATE.set_tier(Some(store.clone()));
+    crate::fig16::RUNTIME.set_tier(Some(store));
     Ok(())
+}
+
+/// A point-in-time snapshot of the figure-level stages' counters: fig2's
+/// trained SynthNet (shared with fig3 and the policy panel), fig3's
+/// surrogate SQNRs and fig16's runtime counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FigureStats {
+    /// The trained-SynthNet stage.
+    pub trained: StageStats,
+    /// The surrogate-SQNR stage.
+    pub surrogate: StageStats,
+    /// The runtime-count stage.
+    pub runtime: StageStats,
+}
+
+impl FigureStats {
+    /// Snapshots the process-wide stages.
+    pub fn global() -> Self {
+        FigureStats {
+            trained: crate::fig02::TRAINED.stats(),
+            surrogate: crate::fig03::SURROGATE.stats(),
+            runtime: crate::fig16::RUNTIME.stats(),
+        }
+    }
+
+    /// Formats the counters as the run-summary lines, one per stage.
+    pub fn render(&self) -> String {
+        let line = |label: &str, s: &StageStats| {
+            format!(
+                "{label:<19}{} built, {} cache hits, {} loaded, {} missed",
+                s.built, s.hits, s.disk_hits, s.disk_misses
+            )
+        };
+        [
+            line("trained nets:", &self.trained),
+            line("surrogate sqnrs:", &self.surrogate),
+            line("runtime counts:", &self.runtime),
+        ]
+        .join("\n")
+    }
+
+    /// The counter-wise difference `self - before` (saturating), for
+    /// delta-over-a-run reporting.
+    pub fn since(&self, before: &FigureStats) -> FigureStats {
+        let d = |a: &StageStats, b: &StageStats| StageStats {
+            hits: a.hits.saturating_sub(b.hits),
+            built: a.built.saturating_sub(b.built),
+            disk_hits: a.disk_hits.saturating_sub(b.disk_hits),
+            disk_misses: a.disk_misses.saturating_sub(b.disk_misses),
+        };
+        FigureStats {
+            trained: d(&self.trained, &before.trained),
+            surrogate: d(&self.surrogate, &before.surrogate),
+            runtime: d(&self.runtime, &before.runtime),
+        }
+    }
 }
 
 /// Process-wide memoization of [`Prepared`] networks and [`WorkloadSet`]s,
@@ -513,12 +581,43 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_rejects_unknown_graphs_without_panicking() {
+        for (network, scale) in [("alexnet", 0), ("nope", 8)] {
+            let err = Prepared::from_parts(network, scale, 1, Params::sized(0), Vec::new());
+            assert!(err.is_err(), "{network} at scale {scale}");
+        }
+    }
+
+    #[test]
     fn seeds_change_the_preparation() {
         let a = Prepared::with_seed("alexnet", 8, DEFAULT_SEED);
         let b = Prepared::with_seed("alexnet", 8, 1234);
         let last_a = a.acts.last().unwrap().as_slice();
         let last_b = b.acts.last().unwrap().as_slice();
         assert_ne!(last_a, last_b, "different seeds must change the run");
+    }
+
+    #[test]
+    fn figure_stats_render_one_line_per_stage() {
+        let s = |n| StageStats {
+            hits: n,
+            built: n + 1,
+            disk_hits: n + 2,
+            disk_misses: n + 3,
+        };
+        let stats = FigureStats {
+            trained: s(0),
+            surrogate: s(10),
+            runtime: s(20),
+        };
+        assert_eq!(
+            stats.render(),
+            "trained nets:      1 built, 0 cache hits, 2 loaded, 3 missed\n\
+             surrogate sqnrs:   11 built, 10 cache hits, 12 loaded, 13 missed\n\
+             runtime counts:    21 built, 20 cache hits, 22 loaded, 23 missed"
+        );
+        assert_eq!(stats.since(&stats), FigureStats::default());
+        assert_eq!(stats.since(&FigureStats::default()), stats);
     }
 
     #[test]

@@ -261,10 +261,11 @@ fn respond(server: &Server, line: &str) -> Vec<u8> {
         }
         Ok(Request::Stats) => {
             let payload = format!(
-                "{}\n{}\n{}\n",
+                "{}\n{}\n{}\n{}\n",
                 PrepCache::global().stats().render(),
                 ola_sim::SimCache::global().stats().render(),
-                ola_quant::EvalCache::global().stats().render()
+                ola_quant::EvalCache::global().stats().render(),
+                crate::prep::FigureStats::global().render()
             );
             let mut out = format!("ok stats bytes={}\n", payload.len()).into_bytes();
             out.extend_from_slice(payload.as_bytes());

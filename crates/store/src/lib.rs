@@ -30,7 +30,10 @@ pub mod version;
 pub mod wire;
 
 pub use store::{Artifact, ArtifactStore};
-pub use version::{code_version, eval_version, model_version, FORMAT_VERSION};
+pub use version::{
+    code_version, eval_version, model_version, runtime_version, surrogate_version, train_version,
+    FORMAT_VERSION,
+};
 pub use wire::StoreError;
 
 /// A unique scratch directory under the system temp dir for unit tests

@@ -85,8 +85,9 @@ macro_rules! artifacts {
     )*};
 }
 
-// Kind 1, the prepared network (`prep`), is implemented where that type
-// lives, in the harness.
+// Kind 1, the prepared network (`prep`), and kinds 6-8, the figure-level
+// records (`train`, `surrogate`, `runtime`), are implemented where those
+// types live, in the harness.
 artifacts! {
     WorkloadSet => 2, "ws", code_version, encode_workload_set, decode_workload_set;
     LayerRun => 3, "simrun", model_version, encode_layer_run, decode_layer_run;

@@ -15,7 +15,7 @@
 //! invalidates the cache. That trades a few spurious recomputes for never
 //! serving stale bytes.
 
-use ola_tensor::memo::fnv1a64;
+use ola_tensor::memo::{fnv1a64, Fingerprint};
 use std::sync::OnceLock;
 
 /// Bump when the *container* format (header layout, wire encoding) changes
@@ -126,6 +126,18 @@ const EVAL_SOURCES: &[(&str, &str)] = folds![
     "../../../vendored/rand/src/lib.rs",
 ];
 
+/// The harness files that each hold one figure-level record's recipe:
+/// fig2's training recipe, fig3's SQNR surrogate and fig16's runtime
+/// counts. Each is folded only into its own record's version, on top of
+/// the fold(s) that record reads, so an edit to one of them invalidates
+/// that record alone — never a prep, ws, sim or eval record. Text-only
+/// includes, like `prep.rs` in [`SOURCES`].
+const RECIPES: &[(&str, &str)] = folds![
+    "../../harness/src/fig02.rs",
+    "../../harness/src/fig03.rs",
+    "../../harness/src/fig16.rs",
+];
+
 /// Length-framed FNV-1a fold over [`FORMAT_VERSION`] and `sources` — file
 /// lengths are folded in between texts so content can't slide across file
 /// boundaries ("ab" + "c" vs "a" + "bc").
@@ -168,6 +180,38 @@ pub fn eval_version() -> u64 {
     *V.get_or_init(|| sources_version(EVAL_SOURCES))
 }
 
+/// A figure-level record's version: the folds it reads, then the text of
+/// its recipe file.
+fn recipe_version(bases: &[u64], (_, text): (&str, &str)) -> u64 {
+    let mut fp = Fingerprint::new();
+    for &base in bases {
+        fp.u64(base);
+    }
+    fp.str(text).finish()
+}
+
+/// The version of fig2's trained-SynthNet record: [`eval_version`] (the
+/// SynthNet training and evaluation code) plus `fig02.rs` (the recipe).
+pub fn train_version() -> u64 {
+    static V: OnceLock<u64> = OnceLock::new();
+    *V.get_or_init(|| recipe_version(&[eval_version()], RECIPES[0]))
+}
+
+/// The version of fig3's surrogate-SQNR record: [`code_version`] (zoo
+/// graphs and weight synthesis) and [`eval_version`] (the quantizers and
+/// the SQNR measure) plus `fig03.rs`.
+pub fn surrogate_version() -> u64 {
+    static V: OnceLock<u64> = OnceLock::new();
+    *V.get_or_init(|| recipe_version(&[code_version(), eval_version()], RECIPES[1]))
+}
+
+/// The version of fig16's runtime-count record: [`code_version`] (the
+/// prepared network, calibration and the forward pass) plus `fig16.rs`.
+pub fn runtime_version() -> u64 {
+    static V: OnceLock<u64> = OnceLock::new();
+    *V.get_or_init(|| recipe_version(&[code_version()], RECIPES[2]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,12 +251,9 @@ mod tests {
         ("harness/src/summary.rs", RENDERS),
         ("harness/src/table1.rs", RENDERS),
         ("harness/src/fig01.rs", RENDERS),
-        ("harness/src/fig02.rs", RENDERS),
-        ("harness/src/fig03.rs", RENDERS),
         ("harness/src/fig11_13.rs", RENDERS),
         ("harness/src/fig14.rs", RENDERS),
         ("harness/src/fig15.rs", RENDERS),
-        ("harness/src/fig16.rs", RENDERS),
         ("harness/src/fig17.rs", RENDERS),
         ("harness/src/fig18.rs", RENDERS),
         ("harness/src/fig19.rs", RENDERS),
@@ -238,11 +279,18 @@ mod tests {
     #[test]
     fn every_source_file_is_folded_or_exempt() {
         let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-        let folded: Vec<&str> = [SOURCES, MODEL_SOURCES, EVAL_SOURCES]
+        let rel = |(path, _): &(&'static str, &str)| path.strip_prefix("../../").unwrap();
+        let global: Vec<&str> = [SOURCES, MODEL_SOURCES, EVAL_SOURCES]
             .concat()
             .iter()
-            .map(|(path, _)| path.strip_prefix("../../").unwrap())
+            .map(rel)
             .collect();
+        // A recipe file folded into a global fold would let its edits
+        // invalidate every record of that fold.
+        for recipe in RECIPES.iter().map(rel) {
+            assert!(!global.contains(&recipe), "{recipe} is in a global fold");
+        }
+        let folded: Vec<&str> = global.into_iter().chain(RECIPES.iter().map(rel)).collect();
         let mut roots: Vec<&str> = folded
             .iter()
             .map(|p| &p[..p.find("/src/").unwrap()])
@@ -295,5 +343,19 @@ mod tests {
         assert_ne!(eval_version(), 0);
         assert_ne!(eval_version(), code_version());
         assert_ne!(eval_version(), model_version());
+    }
+
+    #[test]
+    fn recipe_versions_are_stable_and_independent() {
+        let recipes = [train_version(), surrogate_version(), runtime_version()];
+        assert_eq!(
+            recipes,
+            [train_version(), surrogate_version(), runtime_version()]
+        );
+        let mut all = recipes.to_vec();
+        all.extend([code_version(), model_version(), eval_version()]);
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 6, "every record kind needs its own version");
     }
 }

@@ -5,10 +5,18 @@
 //! under another version, another key's record or another kind's — the
 //! stage must count exactly one disk miss, build once, serve the fresh
 //! value and overwrite the file. It must never panic or mis-decode.
+//!
+//! Records up to [`EXHAUSTIVE`] bytes are truncated at every length; the
+//! trained-net record (~130 KB of weights) at every length through its
+//! header and recipe, a sample of lengths across its weights, and every
+//! length of its tail.
 
 mod common;
 
 use ola_energy::EnergyBreakdown;
+use ola_harness::fig02::{Recipe, TrainedSynthNet};
+use ola_harness::fig03::SurrogateSqnr;
+use ola_harness::fig16::RuntimeCounts;
 use ola_harness::prep::Prepared;
 use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::Params;
@@ -21,7 +29,7 @@ use ola_tensor::memo::{Stage, StageStats, Tier};
 use ola_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 use proptest::test_runner::rng_for_case;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The key every fixture record is stored under.
 const KEY: u64 = 0x0123_4567_89ab_cdef;
@@ -32,6 +40,16 @@ const VERSION_AT: usize = 17;
 
 /// Sampled single-bit flips per record kind.
 const FLIPS: usize = 256;
+
+/// Records up to this many bytes are truncated at every length.
+const EXHAUSTIVE: usize = 4096;
+
+/// Truncation lengths sampled from the middle of a larger record; every
+/// length of its first and last [`EDGE`] bytes is tried too.
+const SAMPLED_CUTS: usize = 256;
+
+/// Bytes at each end of a larger record truncated at every length.
+const EDGE: usize = 256;
 
 /// An encoded payload — bitwise identity for every record kind.
 fn payload<V: Artifact>(v: &V) -> Vec<u8> {
@@ -95,10 +113,20 @@ where
         pristine[VERSION_AT..VERSION_AT + 8],
         V::version().to_le_bytes()
     );
-    let mut cases: Vec<(String, Vec<u8>)> = (0..pristine.len())
+    let len = pristine.len();
+    let mut rng = rng_for_case(V::PREFIX, 0);
+    let cuts: Vec<usize> = if len <= EXHAUSTIVE {
+        (0..len).collect()
+    } else {
+        (0..EDGE)
+            .chain((0..SAMPLED_CUTS).map(|_| (EDGE..len - EDGE).sample(&mut rng)))
+            .chain(len - EDGE..len)
+            .collect()
+    };
+    let mut cases: Vec<(String, Vec<u8>)> = cuts
+        .into_iter()
         .map(|n| (format!("truncated to {n} bytes"), pristine[..n].to_vec()))
         .collect();
-    let mut rng = rng_for_case(V::PREFIX, 0);
     for _ in 0..FLIPS {
         let bit = (0..pristine.len() * 8).sample(&mut rng);
         let mut bad = pristine.clone();
@@ -207,6 +235,33 @@ fn accuracy() -> QuantAccuracy {
     }
 }
 
+/// A SynthNet trained to a tiny recipe (the weights keep their full
+/// shapes; the splits are a few images), trained once per process.
+fn trained() -> TrainedSynthNet {
+    static NET: OnceLock<TrainedSynthNet> = OnceLock::new();
+    let recipe = Recipe {
+        train_size: 6,
+        test_size: 3,
+        classes: 3,
+        epochs: 1,
+        ..Recipe::of(true)
+    };
+    NET.get_or_init(|| recipe.train()).clone()
+}
+
+fn surrogate() -> SurrogateSqnr {
+    SurrogateSqnr {
+        sqnr: 21.5,
+        sqnr0: -0.0,
+    }
+}
+
+/// Counts for AlexNet's seven compute layers after the first.
+fn runtime() -> RuntimeCounts {
+    let counts: Vec<[u64; 3]> = (0..7).map(|i| [i, 2 * i + 1, 5 * i + 9]).collect();
+    RuntimeCounts::from_counts("alexnet", 8, &counts).unwrap()
+}
+
 #[test]
 fn every_record_kind_recovers_from_every_corruption() {
     let records = [
@@ -215,6 +270,9 @@ fn every_record_kind_recovers_from_every_corruption() {
         record(layer_run),
         record(event),
         record(accuracy),
+        record(trained),
+        record(surrogate),
+        record(runtime),
     ];
     let others = |i: usize| {
         let mut o = records.to_vec();
@@ -226,4 +284,7 @@ fn every_record_kind_recovers_from_every_corruption() {
     check(layer_run, &others(2));
     check(event, &others(3));
     check(accuracy, &others(4));
+    check(trained, &others(5));
+    check(surrogate, &others(6));
+    check(runtime, &others(7));
 }
