@@ -91,3 +91,57 @@ fn policy_panel_matches_golden() {
     // this same snapshot.
     check("policy-panel");
 }
+
+#[test]
+fn fig1_matches_golden() {
+    // Prepares AlexNet, whose row-generated fc7 feeds the shaping and
+    // reference forward passes.
+    check("fig1");
+}
+
+#[test]
+fn fig11_matches_golden() {
+    check("fig11");
+}
+
+#[test]
+fn fig12_matches_golden() {
+    // VGG-16: its row-generated fc7 is read by the forward passes and by
+    // workload extraction.
+    check("fig12");
+}
+
+#[test]
+fn fig13_matches_golden() {
+    check("fig13");
+}
+
+#[test]
+fn fig15_matches_golden() {
+    check("fig15");
+}
+
+#[test]
+fn fig17_matches_golden() {
+    check("fig17");
+}
+
+#[test]
+fn fig19_matches_golden() {
+    check("fig19");
+}
+
+#[test]
+fn validate_matches_golden() {
+    check("validate");
+}
+
+#[test]
+fn summary_matches_golden() {
+    check("summary");
+}
+
+#[test]
+fn sensitivity_matches_golden() {
+    check("sensitivity");
+}
