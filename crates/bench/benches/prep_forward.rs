@@ -10,23 +10,31 @@
 //!   extractor, i.e. pure conv/pool compute. This isolates the kernels
 //!   being optimized and is where the >= 3x acceptance bar is measured.
 //! - `alexnet_s4`: the complete fast-suite AlexNet including the
-//!   classifier. Its fc6/fc7 weights are `RowGen` (regenerated each
-//!   forward from seeded streams), so single-thread time is dominated by the
-//!   bit-exact sampling floor — an Amdahl limit the kernels cannot touch
-//!   (see DESIGN.md §11). Row generation does parallelize across worker
-//!   threads on multicore hosts.
+//!   classifier. Its fc7 is `RowGen`: the naive path regenerates and
+//!   prunes all 16.8M weights every forward, while the fast path samples
+//!   them once, on its first forward, and then multiplies only the cached
+//!   survivors (DESIGN.md §11). So the fast path has two cases:
+//!   `cached` times forwards after a warm-up forward has built the cache;
+//!   `synth+first` times synthesis plus the first forward, because each
+//!   iteration needs fresh parameters and the vendored criterion has only
+//!   `iter` (no per-iteration setup outside the timing).
 //! - `resnet18_s8`: the fast-suite ResNet-18, conv-dominated.
 //!
 //! Networks are synthesized exactly as the experiment suite synthesizes
 //! them, so ratios transfer directly to suite preparation time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ola_nn::network::WeightStore;
 use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Network, Params};
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::Tensor;
 use std::hint::black_box;
+
+fn synthesize(net: &Network, network: &str) -> Params {
+    synthesize_params(net, &SynthConfig::for_network_seeded(network, 0xBE4C))
+}
 
 fn build(network: &str, scale: usize, classifier: bool) -> (Network, Params, Tensor) {
     let net = zoo::by_name(
@@ -37,7 +45,7 @@ fn build(network: &str, scale: usize, classifier: bool) -> (Network, Params, Ten
             batch: 1,
         },
     );
-    let params = synthesize_params(&net, &SynthConfig::for_network_seeded(network, 0xBE4C));
+    let params = synthesize(&net, network);
     let input = uniform_tensor(net.input_shape(), -1.0, 1.0, 0xBE4C + scale as u64);
     (net, params, input)
 }
@@ -50,6 +58,8 @@ fn benches(c: &mut Criterion) {
     ];
     for (label, network, scale, classifier) in cases {
         let (net, params, input) = build(network, scale, classifier);
+        let rowgen = (0..net.nodes().len())
+            .any(|id| matches!(params.weights(id), Some(WeightStore::RowGen(_))));
         let mut g = c.benchmark_group(&format!("prep_forward/{label}"));
         g.sample_size(10);
         g.bench_function("naive", |b| {
@@ -57,8 +67,21 @@ fn benches(c: &mut Criterion) {
         });
         for jobs in [1, 2, 4] {
             ola_tensor::par::set_jobs(jobs);
-            g.bench_function(&format!("fast_j{jobs}"), |b| {
+            if !rowgen {
+                g.bench_function(&format!("fast_j{jobs}"), |b| {
+                    b.iter(|| black_box(net.forward(black_box(&params), black_box(&input))))
+                });
+                continue;
+            }
+            net.forward(&params, &input);
+            g.bench_function(&format!("fast_j{jobs}/cached"), |b| {
                 b.iter(|| black_box(net.forward(black_box(&params), black_box(&input))))
+            });
+            g.bench_function(&format!("fast_j{jobs}/synth+first"), |b| {
+                b.iter(|| {
+                    let fresh = synthesize(&net, network);
+                    black_box(net.forward(black_box(&fresh), black_box(&input)))
+                })
             });
         }
         g.finish();

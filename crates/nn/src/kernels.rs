@@ -330,7 +330,7 @@ fn matmul_tile(
 /// Output-feature tile ranges for the linear kernels. Boundaries depend
 /// only on `out_features` and `jobs` shaping granularity — and results are
 /// bit-exact regardless, because tiles partition whole output elements.
-fn feature_tiles(out_features: usize, jobs: usize) -> Vec<(usize, usize)> {
+pub(crate) fn feature_tiles(out_features: usize, jobs: usize) -> Vec<(usize, usize)> {
     let chunk = out_features.div_ceil(jobs.max(1) * 4).max(16);
     let mut tiles = Vec::new();
     let mut o0 = 0;
@@ -427,8 +427,18 @@ fn linear_rows(
 }
 
 /// Row-generated linear layer, bit-exact with
-/// [`crate::network::linear_rowgen`]: workers split the output features
-/// and each generates its own rows (generation is pure in the row index).
+/// [`crate::network::linear_rowgen`]: it multiplies only each row's pruned
+/// survivors, which the first call materializes once for the matrix and
+/// every clone of it (see [`SyntheticMatrix`]). Workers split the output
+/// features, for the build as for the products.
+///
+/// Skipping a pruned position drops a term `x * +0.0 = ±0.0` from the
+/// naive sum. By property 2 of the module contract that is a bit-level
+/// no-op unless the accumulator is `-0.0` (only while it still equals a
+/// `-0.0` bias) or `x` is non-finite (`inf * 0.0` is NaN). Rows with a
+/// `-0.0` bias, and every row when the input holds a non-finite value,
+/// therefore take the full expanded row instead, so the result is
+/// bit-identical unconditionally.
 ///
 /// # Panics
 ///
@@ -446,19 +456,31 @@ pub fn linear_rowgen_fast(
     assert_eq!(gen.cols(), in_features, "generator column mismatch");
     assert_eq!(gen.rows(), out_features, "generator row mismatch");
     let xd = x.as_slice();
+    let survivors = gen.survivors(jobs);
+    let expand_all = xd.iter().any(|v| !v.is_finite());
     let tiles = feature_tiles(out_features, jobs);
     let results: Vec<Vec<f32>> = ordered_map(&tiles, jobs, |_, &(o0, o1)| {
         let len = o1 - o0;
-        let mut row = vec![0.0_f32; in_features];
+        let mut row = Vec::new();
         let mut buf = vec![0.0_f32; len * xs.n];
         for o in o0..o1 {
-            gen.fill_row(o, &mut row);
             let b = bias.map_or(0.0, |bv| bv[o]);
+            let expand = expand_all || b.to_bits() == (-0.0_f32).to_bits();
+            if expand {
+                row.resize(in_features, 0.0);
+                survivors.expand(o, &mut row);
+            }
             for n in 0..xs.n {
                 let xrow = &xd[n * in_features..][..in_features];
                 let mut acc = b;
-                for t in 0..in_features {
-                    acc += xrow[t] * row[t];
+                if expand {
+                    for t in 0..in_features {
+                        acc += xrow[t] * row[t];
+                    }
+                } else {
+                    for &(c, w) in survivors.row(o) {
+                        acc += xrow[c as usize] * w;
+                    }
                 }
                 buf[n * len + (o - o0)] = acc;
             }
@@ -491,7 +513,7 @@ fn scatter_features(
 mod tests {
     use super::*;
     use crate::network::{conv2d, conv2d_grouped, linear_dense, linear_rowgen};
-    use ola_tensor::init::{gaussian_tensor, heavy_tailed_tensor, HeavyTailed};
+    use ola_tensor::init::{gaussian_tensor, heavy_tailed_tensor, uniform_tensor, HeavyTailed};
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -558,6 +580,87 @@ mod tests {
             let fast = linear_rowgen_fast(&x, &gen, None, 37, jobs);
             assert_eq!(bits(&fast), bits(&naive));
         }
+    }
+
+    #[test]
+    fn rowgen_fast_is_exact_for_negative_zero_bias() {
+        // At sparsity 1.0 every term is a skipped `x * +0.0`. The naive sum
+        // turns a -0.0 bias into +0.0 with the first one (x >= 0), so a
+        // survivors-only sum that kept -0.0 would differ in the sign bit.
+        let gen = SyntheticMatrix::new(6, 8, HeavyTailed::default(), 1.0, 5);
+        let x = uniform_tensor(Shape4::new(2, 8, 1, 1), 0.0, 1.0, 6);
+        let bias = [-0.0, 0.0, -0.0, 0.5, -0.0, -0.25];
+        let naive = linear_rowgen(&x, &gen, Some(&bias), 6);
+        assert_eq!(naive.as_slice()[0].to_bits(), 0.0_f32.to_bits());
+        for jobs in [1, 3] {
+            let fast = linear_rowgen_fast(&x, &gen, Some(&bias), 6, jobs);
+            assert_eq!(bits(&fast), bits(&naive));
+        }
+        // The same at a sparsity that keeps survivors.
+        let gen = SyntheticMatrix::new(6, 8, HeavyTailed::default(), 0.5, 5);
+        let naive = linear_rowgen(&x, &gen, Some(&bias), 6);
+        assert_eq!(
+            bits(&linear_rowgen_fast(&x, &gen, Some(&bias), 6, 2)),
+            bits(&naive)
+        );
+    }
+
+    #[test]
+    fn rowgen_fast_is_exact_for_non_finite_inputs() {
+        // `inf * +0.0` is NaN, so a pruned position is not a no-op term once
+        // an input is infinite: the naive sum goes NaN where skipping would
+        // not.
+        let gen = SyntheticMatrix::new(5, 16, HeavyTailed::default(), 0.75, 8);
+        let mut x = uniform_tensor(Shape4::new(2, 16, 1, 1), -1.0, 1.0, 9);
+        x.as_mut_slice()[3] = f32::INFINITY;
+        x.as_mut_slice()[16 + 7] = f32::NAN;
+        let bias: Vec<f32> = (0..5).map(|i| i as f32 * 0.1).collect();
+        let naive = linear_rowgen(&x, &gen, Some(&bias), 5);
+        assert!(
+            naive.as_slice()[..5].iter().any(|v| v.is_nan()),
+            "some pruned weight meets the inf"
+        );
+        for jobs in [1, 2] {
+            let fast = linear_rowgen_fast(&x, &gen, Some(&bias), 5, jobs);
+            assert_eq!(bits(&fast), bits(&naive));
+        }
+    }
+
+    #[test]
+    fn racing_first_uses_build_one_shared_cache() {
+        let gen = SyntheticMatrix::new(300, 64, HeavyTailed::default(), 0.9, 12);
+        let clone = gen.clone();
+        let x = uniform_tensor(Shape4::new(1, 64, 1, 1), -1.0, 1.0, 13);
+        let naive = linear_rowgen(&x, &gen, None, 300);
+        let barrier = std::sync::Barrier::new(2);
+        let race = |m: &SyntheticMatrix, jobs: usize| {
+            barrier.wait();
+            let out = linear_rowgen_fast(&x, m, None, 300, jobs);
+            (bits(&out), m.survivors(1) as *const _ as usize)
+        };
+        let ((a, pa), (b, pb)) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| race(&gen, 2));
+            let b = scope.spawn(|| race(&clone, 3));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, bits(&naive));
+        assert_eq!(b, bits(&naive));
+        assert_eq!(pa, pb, "both clones read one cache");
+    }
+
+    #[test]
+    fn cached_rows_read_back_as_generated() {
+        let gen = SyntheticMatrix::new(40, 33, HeavyTailed::default(), 0.62, 21);
+        let generated: Vec<Vec<f32>> = (0..40).map(|i| gen.row(i)).collect();
+        let sampled = gen.sample_values(7);
+        let x = uniform_tensor(Shape4::new(1, 33, 1, 1), -1.0, 1.0, 22);
+        linear_rowgen_fast(&x, &gen, None, 40, 2);
+        let cached: Vec<Vec<f32>> = (0..40).map(|i| gen.row(i)).collect();
+        let as_bits = |rows: &[Vec<f32>]| -> Vec<u32> {
+            rows.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(as_bits(&cached), as_bits(&generated));
+        assert_eq!(gen.sample_values(7), sampled);
     }
 
     #[test]

@@ -144,41 +144,58 @@ pub fn uniform_tensor(shape: Shape4, lo: f32, hi: f32, seed: u64) -> Tensor {
     Tensor::from_vec(shape, data)
 }
 
-/// Magnitude-prunes a tensor in place to the given sparsity (fraction of
-/// zeros), zeroing the smallest-magnitude elements first. Mirrors the
-/// Deep-Compression-style pruned models the paper evaluates.
+/// Splits the positions of `values` for magnitude pruning to `sparsity`.
+///
+/// Returns `k = round(len * sparsity)` and one packed key
+/// `(|v| bits << 32) | index` per position, partitioned so that the first
+/// `k` keys are the `k` smallest magnitudes (ties to the lower index) and
+/// the rest are the survivors; each part is in no particular order. A key's
+/// low 32 bits are its position.
+///
+/// `abs` clears the sign bit, and on sign-cleared floats the unsigned bit
+/// order is `total_cmp`'s order (NaN above `+inf`, so a NaN is never pruned
+/// before a finite value). The index in the low bits makes the order
+/// tie-free, so the pruned set is exactly what a stable full sort by `|v|`
+/// chose — found with one plain `select_nth_unstable` in O(n).
+///
+/// # Panics
+///
+/// Panics if `sparsity` is outside `[0, 1]` or `values` has more than
+/// `u32::MAX` elements.
+pub fn magnitude_split(values: &[f32], sparsity: f64) -> (usize, Vec<u64>) {
+    assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
+    assert!(
+        values.len() <= u32::MAX as usize,
+        "positions must fit the key's low 32 bits"
+    );
+    let n = values.len();
+    let k = (n as f64 * sparsity).round() as usize;
+    let mut keys: Vec<u64> = values
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (u64::from(v.abs().to_bits()) << 32) | i as u64)
+        .collect();
+    if 0 < k && k < n {
+        keys.select_nth_unstable(k - 1);
+    }
+    (k, keys)
+}
+
+/// Magnitude-prunes `values` in place to the given sparsity (fraction of
+/// zeros), zeroing the [`magnitude_split`] set: the smallest magnitudes,
+/// ties to the lower index. Mirrors the Deep-Compression-style pruned
+/// models the paper evaluates.
 ///
 /// Returns the exact number of elements zeroed.
 ///
 /// # Panics
 ///
-/// Panics if `sparsity` is outside `[0, 1]`.
-pub fn prune_to_sparsity(tensor: &mut Tensor, sparsity: f64) -> usize {
-    assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
-    let n = tensor.len();
-    let k = (n as f64 * sparsity).round() as usize;
-    if k == 0 {
-        return 0;
-    }
-    let data = tensor.as_mut_slice();
-    if k >= n {
-        data.fill(0.0);
-        return n;
-    }
-    // Selection on the tie-free (|v|, index) total order: `total_cmp` makes
-    // NaN compare (largest, so never pruned before finite values) instead of
-    // silently breaking the sort, and the index tiebreak makes the k-smallest
-    // set identical to what the old stable full sort chose on finite inputs —
-    // in O(n) instead of O(n log n).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.select_nth_unstable_by(k - 1, |&a, &b| {
-        data[a]
-            .abs()
-            .total_cmp(&data[b].abs())
-            .then_with(|| a.cmp(&b))
-    });
-    for &i in order.iter().take(k) {
-        data[i] = 0.0;
+/// As [`magnitude_split`].
+pub fn prune_to_sparsity(values: &mut (impl AsMut<[f32]> + ?Sized), sparsity: f64) -> usize {
+    let values = values.as_mut();
+    let (k, keys) = magnitude_split(values, sparsity);
+    for &key in &keys[..k] {
+        values[key as u32 as usize] = 0.0;
     }
     k
 }

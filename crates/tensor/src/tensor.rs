@@ -190,6 +190,12 @@ impl AsRef<[f32]> for Tensor {
     }
 }
 
+impl AsMut<[f32]> for Tensor {
+    fn as_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

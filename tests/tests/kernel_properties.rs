@@ -6,8 +6,9 @@
 //! golden report.
 
 use ola_nn::kernels;
-use ola_nn::network::{conv2d, conv2d_grouped, linear_dense, linear_rowgen};
-use ola_nn::synth::SyntheticMatrix;
+use ola_nn::network::{conv2d, conv2d_grouped, linear_dense, linear_rowgen, WeightStore};
+use ola_nn::synth::{synthesize_params, SynthConfig, SyntheticMatrix};
+use ola_nn::zoo::{self, ZooConfig};
 use ola_tensor::init::{uniform_tensor, HeavyTailed};
 use ola_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
@@ -96,8 +97,10 @@ proptest! {
         prop_assert_eq!(bits(&naive), bits(&fast));
     }
 
-    /// Row-generated linear: the fast path regenerates rows inside worker
-    /// tiles; the values and the dot order must match the serial oracle.
+    /// Row-generated linear: the first fast call materializes every row's
+    /// pruned survivors, later calls (and clones) are served from them; the
+    /// values and the dot order must match the regenerating serial oracle
+    /// either way.
     #[test]
     fn linear_rowgen_fast_is_bit_exact(
         shape in (1usize..=2, 1usize..=80, 1usize..=30),
@@ -117,8 +120,50 @@ proptest! {
         );
         let bias = bias_vec(out_features, seed ^ 0xB1A5, with_bias);
         let naive = linear_rowgen(&x, &gen, bias.as_deref(), out_features);
-        let fast = kernels::linear_rowgen_fast(&x, &gen, bias.as_deref(), out_features, jobs);
-        prop_assert_eq!(bits(&naive), bits(&fast));
+        let first = kernels::linear_rowgen_fast(&x, &gen, bias.as_deref(), out_features, jobs);
+        prop_assert_eq!(bits(&naive), bits(&first));
+        let cached = kernels::linear_rowgen_fast(&x, &gen, bias.as_deref(), out_features, jobs);
+        prop_assert_eq!(bits(&naive), bits(&cached));
+        let clone = gen.clone();
+        let shared = kernels::linear_rowgen_fast(&x, &clone, bias.as_deref(), out_features, 1);
+        prop_assert_eq!(bits(&naive), bits(&shared));
+    }
+
+    /// The two cases where a skipped pruned weight is not a no-op term: a
+    /// `-0.0` bias (the naive sum's first `x * +0.0` flips it to `+0.0`)
+    /// and a non-finite input (`inf * 0.0` is NaN).
+    #[test]
+    fn linear_rowgen_fast_is_bit_exact_at_the_edges(
+        shape in (1usize..=2, 1usize..=40, 1usize..=12),
+        fully_pruned in prop::bool::ANY,
+        sparsity in 0.0f64..1.0,
+        inf_at in 0usize..160,
+        jobs in 1usize..=3,
+        seed in 0u64..1 << 48,
+    ) {
+        let (n, in_features, out_features) = shape;
+        let mut x = uniform_tensor(Shape4::new(n, in_features, 1, 1), 0.0, 1.0, seed);
+        // Half the cases hold one infinite input.
+        if inf_at < 80 {
+            let len = x.len();
+            x.as_mut_slice()[inf_at % len] = f32::INFINITY;
+        }
+        let sparsity = if fully_pruned { 1.0 } else { sparsity };
+        let gen = SyntheticMatrix::new(
+            out_features,
+            in_features,
+            HeavyTailed::default(),
+            sparsity,
+            seed ^ 0xFEED,
+        );
+        let bias: Vec<f32> = (0..out_features)
+            .map(|o| if o % 3 == 2 { 0.125 } else { -0.0 })
+            .collect();
+        let naive = linear_rowgen(&x, &gen, Some(&bias), out_features);
+        for _ in 0..2 {
+            let fast = kernels::linear_rowgen_fast(&x, &gen, Some(&bias), out_features, jobs);
+            prop_assert_eq!(bits(&naive), bits(&fast));
+        }
     }
 
     /// Worker count is invisible: 1 worker and N workers produce the same
@@ -138,5 +183,34 @@ proptest! {
         let one = kernels::conv2d_fast(&x, &wt, None, 1, 1, 1);
         let many = kernels::conv2d_fast(&x, &wt, None, 1, 1, jobs);
         prop_assert_eq!(bits(&one), bits(&many));
+    }
+}
+
+/// The whole fast-suite AlexNet (scale 4, classifier included, fc7
+/// row-generated): after a warm-up forward has built the survivors cache,
+/// the fast forward still equals the naive one at every node.
+#[test]
+fn alexnet_fast_forward_matches_naive_after_warm_up() {
+    let net = zoo::by_name(
+        "alexnet",
+        &ZooConfig {
+            spatial_scale: 4,
+            include_classifier: true,
+            batch: 1,
+        },
+    );
+    let params = synthesize_params(&net, &SynthConfig::for_network("alexnet"));
+    assert!(
+        (0..net.nodes().len()).any(|id| matches!(params.weights(id), Some(WeightStore::RowGen(_)))),
+        "fast AlexNet must keep a row-generated layer"
+    );
+    let input = uniform_tensor(net.input_shape(), -1.0, 1.0, 0xA1E);
+    ola_tensor::par::set_jobs(2);
+    net.forward(&params, &input);
+    let fast = net.forward(&params, &input);
+    let naive = net.forward_naive(&params, &input);
+    assert_eq!(fast.len(), naive.len());
+    for (id, (f, n)) in fast.iter().zip(&naive).enumerate() {
+        assert_eq!(bits(f), bits(n), "node {id} drifted");
     }
 }
