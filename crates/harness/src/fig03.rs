@@ -61,10 +61,17 @@ fn layer_weights(network: &str) -> Vec<Vec<f32>> {
         batch: 1,
     };
     let net = zoo::by_name(network, &cfg);
-    let params = synthesize_params(&net, &SynthConfig::for_network(network));
+    let mut params = synthesize_params(&net, &SynthConfig::for_network(network));
     net.compute_nodes()
         .iter()
-        .map(|&id| weight_values(&params, id))
+        .map(|&id| {
+            let values = weight_values(&params, id);
+            // Drop each layer once copied, so the network is never held
+            // twice: ResNet-101's weights alone are ~180 MB, and holding
+            // them twice would set the fast suite's peak RSS.
+            params.take_weights(id);
+            values
+        })
         .collect()
 }
 

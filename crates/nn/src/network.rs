@@ -252,6 +252,11 @@ impl Params {
         self.weights.get(id).and_then(|w| w.as_ref())
     }
 
+    /// Removes and returns the weights of node `id`, if set.
+    pub fn take_weights(&mut self, id: NodeId) -> Option<WeightStore> {
+        self.weights.get_mut(id).and_then(Option::take)
+    }
+
     /// Bias of node `id`, if set.
     pub fn bias(&self, id: NodeId) -> Option<&[f32]> {
         self.biases.get(id).and_then(|b| b.as_deref())
@@ -676,6 +681,17 @@ mod tests {
     use super::*;
     use crate::layer::{Conv2dSpec, LinearSpec, PoolSpec};
     use ola_tensor::ConvGeometry;
+
+    #[test]
+    fn take_weights_empties_the_slot() {
+        let mut params = Params::sized(2);
+        let w = Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![0.5, -1.0]);
+        params.set_weights(1, WeightStore::Dense(w.clone()));
+        assert!(params.take_weights(0).is_none());
+        assert!(matches!(params.take_weights(1), Some(WeightStore::Dense(t)) if t == w));
+        assert!(params.weights(1).is_none());
+        assert!(params.take_weights(7).is_none(), "out of range is None");
+    }
 
     #[test]
     fn conv2d_identity_kernel() {
