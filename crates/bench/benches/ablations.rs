@@ -17,7 +17,7 @@ use std::hint::black_box;
 
 fn benches(c: &mut Criterion) {
     let prep = bench_prep("alexnet");
-    let ws = prep.workloads(&QuantPolicy::olaccel16("alexnet"));
+    let ws = prep.extract(&QuantPolicy::olaccel16("alexnet"));
     let tech = TechParams::default();
 
     let base = OlAccelSim::new(tech, ComparisonMode::Bits16);
@@ -49,7 +49,7 @@ fn benches(c: &mut Criterion) {
     println!("\n=== Ablation: fine-tuned 4-bit first layer (footnotes 1/6) ===");
     let mut ft = QuantPolicy::olaccel16("alexnet");
     ft.first_layer = FirstLayerPolicy::FineTuned4Bit;
-    let ws_ft = prep.workloads(&ft);
+    let ws_ft = prep.extract(&ft);
     let fine_tuned = base.simulate(&ws_ft).total_cycles();
     println!("raw 16-bit first layer: {with_mac} cycles");
     println!(

@@ -10,16 +10,17 @@ use ola_harness::prep::SixWay;
 use std::hint::black_box;
 
 fn bench_network(c: &mut Criterion, network: &str, fig: &str) {
-    let prep = bench_prep(network);
+    let (ws16, ws8) = bench_prep(network).paper_workloads();
     let tech = TechParams::default();
     c.bench_function(&format!("{fig}_{network}_sixway"), |b| {
         b.iter(|| {
-            let six = SixWay::run(black_box(&prep), &tech);
+            let six = SixWay::run(black_box(&ws16), black_box(&ws8), &tech);
             black_box(six.olaccel16.total_cycles())
         })
     });
     // Emit the figure's data once so bench runs double as regeneration.
-    println!("{}", fig11_13::render(network, &SixWay::run(&prep, &tech)));
+    let six = SixWay::run(&ws16, &ws8, &tech);
+    println!("{}", fig11_13::render(network, &six));
 }
 
 fn benches(c: &mut Criterion) {

@@ -16,7 +16,7 @@ fn benches(c: &mut Criterion) {
             b.iter(|| {
                 let mut policy = QuantPolicy::olaccel16("alexnet");
                 policy.outlier_ratio = ratio;
-                let ws = prep.workloads(&policy);
+                let ws = prep.extract(&policy);
                 black_box(sim.simulate(&ws).total_cycles())
             })
         });

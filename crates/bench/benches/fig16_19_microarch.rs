@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 fn benches(c: &mut Criterion) {
     let prep = bench_prep("alexnet");
-    let ws = prep.workloads(&QuantPolicy::olaccel16("alexnet"));
+    let ws = prep.extract(&QuantPolicy::olaccel16("alexnet"));
     let sim = OlAccelSim::new(TechParams::default(), ComparisonMode::Bits16);
 
     c.bench_function("fig18_19_simulate_with_histograms", |b| {

@@ -34,10 +34,10 @@ EXPERIMENT  fig1 fig2 fig3 table1 fig11 fig12 fig13 fig14 fig15 fig16
             (a request may ask for at most 1024).
 --out DIR   additionally write each report to DIR/<experiment>.txt
 --cache-dir DIR
-            persistent artifact store: prepared networks, workload sets,
-            and per-layer simulation results are written there on first
-            build and loaded (skipping synthesize/forward/extract — and,
-            when warm, the model phase — entirely) on later runs.
+            persistent artifact store: workload sets, per-layer
+            simulation results and figure records are written there on
+            first build and loaded (skipping synthesize/forward/extract —
+            and, when warm, the model phase — entirely) on later runs.
             Artifacts are content-addressed by their inputs plus a code /
             model version fingerprint, so a stale or corrupt store never
             changes results — it only misses, with a stderr warning.

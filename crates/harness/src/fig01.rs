@@ -3,10 +3,17 @@
 //! quantization — the motivating picture: linear quantization wastes its 16
 //! levels spanning the outliers, outlier-aware quantization spends them on
 //! the bulk.
+//!
+//! Only conv2 is synthesized: a layer's weights are a pure function of the
+//! synthesis seed, its node id and its conv position (DESIGN.md §13), and
+//! sparsity shaping touches biases alone, so these are exactly the weights
+//! of the prepared AlexNet every other figure runs on.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::{default_scale, synth_config, zoo_config, DEFAULT_SEED};
 use crate::report::{bar, num, table};
-use ola_nn::synth::weight_values;
+use crate::timing;
+use ola_nn::synth::synthesize_node;
+use ola_nn::zoo;
 use ola_quant::linear::LinearQuantizer;
 use ola_quant::metrics::sqnr_db;
 use ola_quant::outlier::OutlierQuantizer;
@@ -32,18 +39,19 @@ fn histogram_rows(values: &[f32], lo: f64, hi: f64, bins: usize) -> Vec<Vec<Stri
 
 /// Computes and formats Fig 1.
 pub fn run(fast: bool) -> String {
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
     // conv2 weights (the layer the paper plots).
-    let conv2 = prep
-        .net
-        .nodes()
-        .iter()
-        .position(|n| n.name == "conv2")
-        .expect("alexnet has conv2");
-    let weights: Vec<f32> = weight_values(&prep.params, conv2)
-        .into_iter()
-        .filter(|&v| v != 0.0)
-        .collect();
+    let weights = timing::timed(timing::Phase::Synthesize, || {
+        let net = zoo::by_name("alexnet", &zoo_config(default_scale("alexnet", fast)));
+        let conv2 = net
+            .nodes()
+            .iter()
+            .position(|n| n.name == "conv2")
+            .expect("alexnet has conv2");
+        let conv2 = synthesize_node(&net, conv2, &synth_config("alexnet", DEFAULT_SEED));
+        let mut weights = conv2.weights.expect("conv2 has weights").into_values();
+        weights.retain(|&v| v != 0.0);
+        weights
+    });
 
     let span = weights.iter().fold(0.0_f32, |m, &v| m.max(v.abs())) as f64;
     let full = histogram_rows(&weights, -span, span, 32);

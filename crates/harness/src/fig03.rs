@@ -11,7 +11,7 @@
 
 use crate::fig02::trained;
 use crate::report::{pct, table};
-use ola_nn::synth::{synthesize_params, weight_values, SynthConfig};
+use ola_nn::synth::{synthesize_node, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
 use ola_quant::accuracy::{evaluate_synthnet, mean_weight_sqnr_db, surrogate_top5_drop, QuantSpec};
 use ola_sim::policy::default_ratio;
@@ -53,7 +53,10 @@ fn network_spec(network: &str) -> (f64, QuantSpec) {
     (ratio, spec)
 }
 
-/// Per-layer weight populations of a zoo network (sampled for generators).
+/// Per-layer weight populations of a zoo network (sampled for generators),
+/// synthesized one layer at a time so the network is never held twice:
+/// ResNet-101's weights alone are ~180 MB, and holding them twice would
+/// set the fast suite's peak RSS.
 fn layer_weights(network: &str) -> Vec<Vec<f32>> {
     let cfg = ZooConfig {
         spatial_scale: SCALE,
@@ -61,16 +64,14 @@ fn layer_weights(network: &str) -> Vec<Vec<f32>> {
         batch: 1,
     };
     let net = zoo::by_name(network, &cfg);
-    let mut params = synthesize_params(&net, &SynthConfig::for_network(network));
+    let synth = SynthConfig::for_network(network);
     net.compute_nodes()
         .iter()
         .map(|&id| {
-            let values = weight_values(&params, id);
-            // Drop each layer once copied, so the network is never held
-            // twice: ResNet-101's weights alone are ~180 MB, and holding
-            // them twice would set the fast suite's peak RSS.
-            params.take_weights(id);
-            values
+            let node = synthesize_node(&net, id, &synth);
+            node.weights
+                .expect("compute nodes carry weights")
+                .into_values()
         })
         .collect()
 }
@@ -142,13 +143,9 @@ impl Artifact for SurrogateSqnr {
 
 /// Computes and formats Fig 3.
 pub fn run(fast: bool) -> String {
-    // Measured path: SynthNet at the AlexNet operating point.
-    let t = trained(fast);
-    let measured = crate::timing::timed(crate::timing::Phase::Eval, || {
-        evaluate_synthnet(&t.net, &t.test, &t.train, &QuantSpec::paper_4bit(0.035), 5)
-    });
-
-    // Surrogate path: the five ImageNet networks.
+    // Surrogate path: the five ImageNet networks. It runs first because it
+    // needs no trained net, so a suite run synthesizes them while fig2 may
+    // still be training the SynthNet the measured path waits on.
     let mut rows = Vec::new();
     for network in NETWORKS {
         let (ratio, _) = network_spec(network);
@@ -165,6 +162,12 @@ pub fn run(fast: bool) -> String {
             pct((fp - drop0 / 100.0).max(0.0)),
         ]);
     }
+
+    // Measured path: SynthNet at the AlexNet operating point.
+    let t = trained(fast);
+    let measured = crate::timing::timed(crate::timing::Phase::Eval, || {
+        evaluate_synthnet(&t.net, &t.test, &t.train, &QuantSpec::paper_4bit(0.035), 5)
+    });
     let body = table(
         &[
             "network",

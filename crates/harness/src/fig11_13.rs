@@ -3,10 +3,10 @@
 //! normalized to Eyeriss16 — plus the headline reduction percentages the
 //! paper quotes in the abstract.
 
-use crate::prep::{default_scale, prepared, SixWay};
+use crate::prep::{default_scale, workloads, SixWay};
 use crate::report::{num, pct, table};
 use ola_energy::TechParams;
-use ola_sim::NetworkRun;
+use ola_sim::{NetworkRun, QuantPolicy};
 
 /// Paper anchors: (vs-ZeNA16 energy reduction, vs-ZeNA8 energy reduction).
 fn paper_energy_anchor(network: &str) -> (f64, f64) {
@@ -35,8 +35,10 @@ fn reduction(new: f64, old: f64) -> f64 {
 
 /// Runs the figure for one network and formats the report.
 pub fn run(network: &str, fast: bool) -> String {
-    let prep = prepared(network, default_scale(network, fast));
-    let six = SixWay::run(&prep, &TechParams::default());
+    let scale = default_scale(network, fast);
+    let ws16 = workloads(network, scale, &QuantPolicy::olaccel16(network));
+    let ws8 = workloads(network, scale, &QuantPolicy::olaccel8(network));
+    let six = SixWay::run(&ws16, &ws8, &TechParams::default());
     render(network, &six)
 }
 
@@ -164,8 +166,8 @@ mod tests {
 
     #[test]
     fn six_way_report_renders_and_orders() {
-        let prep = Prepared::new("alexnet", 8);
-        let six = SixWay::run(&prep, &TechParams::default());
+        let (ws16, ws8) = Prepared::new("alexnet", 8).paper_workloads();
+        let six = SixWay::run(&ws16, &ws8, &TechParams::default());
         let r = render("alexnet", &six);
         for label in ["Eyeriss16", "ZeNA8", "OLAccel16", "OLAccel8", "Headline"] {
             assert!(r.contains(label), "missing {label}");

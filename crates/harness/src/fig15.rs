@@ -2,12 +2,13 @@
 //! batch sizes 1, 4, 16, for OLAccel (16-bit outliers) and ZeNA, normalized
 //! to ZeNA with batch 1 on one NPU.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::{default_scale, workloads};
 use crate::report::{num, table};
 use ola_baselines::ZenaSim;
 use ola_core::scale::{speedup, ScaleParams};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
+use ola_sim::QuantPolicy;
 
 /// NPU counts on the x-axis.
 pub const NPUS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -16,8 +17,8 @@ pub const BATCHES: [usize; 3] = [1, 4, 16];
 
 /// Computes and formats Fig 15.
 pub fn run(fast: bool) -> String {
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
-    let (ws16, _) = prep.paper_workloads();
+    let policy = QuantPolicy::olaccel16("alexnet");
+    let ws16 = workloads("alexnet", default_scale("alexnet", fast), &policy);
     let tech = TechParams::default();
     let p = ScaleParams::default();
 

@@ -4,12 +4,13 @@
 //!
 //! Preparation — synthesis, sparsity shaping, and the f32 forward pass — is
 //! the dominant cost of a full reproduction run, and most figures ask for
-//! the *same* prepared network (AlexNet at the default scale). The
-//! [`PrepCache`] therefore memoizes both levels of the pipeline
-//! process-wide:
+//! the *same* workloads (AlexNet at the default scale). The [`PrepCache`]
+//! therefore memoizes both levels of the pipeline process-wide:
 //!
-//! * [`Prepared`] networks, keyed by `(network, scale, seed)`;
-//! * [`WorkloadSet`]s, keyed by `(network, scale, seed, policy)`.
+//! * [`WorkloadSet`]s, keyed by `(network, scale, seed, policy)` — what
+//!   the figures read;
+//! * [`Prepared`] networks, keyed by `(network, scale, seed)` — built only
+//!   when a workload set misses, and held in memory alone.
 //!
 //! Every entry is computed exactly once per process — concurrent requests
 //! for the same key block on a per-key slot while the first caller builds
@@ -19,14 +20,14 @@
 //! [`Prepared::with_seed`]), never from global state, which is what makes
 //! the memoization sound.
 //!
-//! With [`PrepCache::set_disk`] the cache additionally gains a persistent
-//! tier: misses read through to an [`ArtifactStore`] before computing, and
-//! fresh builds write through after. Both levels are
-//! [`ola_tensor::memo::Stage`]s keyed by a [`Fingerprint`] of `(network,
-//! scale, seed)` (plus the policy's fold for workload sets), and the store
-//! adds the code version, so a stale store can never change results — at
-//! worst it misses. A corrupt store file warns on stderr and recomputes;
-//! it never fails a run.
+//! With [`PrepCache::set_disk`] the workload sets additionally gain a
+//! persistent tier: misses read through to an [`ArtifactStore`] before
+//! computing, and fresh extractions write through after. The stage key is
+//! a [`Fingerprint`] of `(network, scale, seed)` plus the policy's fold,
+//! and the store adds the code version, so a stale store can never change
+//! results — at worst it misses. A corrupt store file warns on stderr and
+//! recomputes; it never fails a run. A warm workload set touches no
+//! preparation at all.
 //!
 //! A build that *panics* does not poison its cache slot: the panic payload
 //! is re-raised unchanged for the builder, waiting requesters fail with
@@ -43,9 +44,7 @@ use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Network, Params};
 use ola_sim::workload::{extract_from_acts, WorkloadSet};
 use ola_sim::{NetworkRun, QuantPolicy};
-use ola_store::codec::{decode_params, decode_tensor, encode_params, encode_tensor};
-use ola_store::wire::{Reader, Writer};
-use ola_store::{code_version, Artifact, ArtifactStore, StoreError};
+use ola_store::{ArtifactStore, StoreError};
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::memo::{Fingerprint, Stage, StageStats};
 use ola_tensor::Tensor;
@@ -89,15 +88,12 @@ pub struct Prepared {
     pub scale: usize,
     /// Preparation seed (see [`Prepared::with_seed`]).
     pub seed: u64,
-    /// Whether this instance lives in the global cache; if so, workload
-    /// extraction routes through the cache too.
-    cached: bool,
 }
 
 impl Prepared {
     /// Builds and runs a zoo network at the given spatial scale with the
-    /// suite's [`DEFAULT_SEED`], bypassing the cache. Prefer [`prepared`]
-    /// inside experiment code so concurrent figures share one synthesis.
+    /// suite's [`DEFAULT_SEED`], bypassing the cache. Prefer [`workloads`]
+    /// inside experiment code so concurrent figures share one extraction.
     pub fn new(network: &str, scale: usize) -> Self {
         Self::with_seed(network, scale, DEFAULT_SEED)
     }
@@ -114,8 +110,7 @@ impl Prepared {
     pub fn with_seed(network: &str, scale: usize, seed: u64) -> Self {
         let (net, params, input) = timing::timed(timing::Phase::Synthesize, || {
             let net = zoo::by_name(network, &zoo_config(scale));
-            let synth_cfg = SynthConfig::for_network_seeded(network, seed ^ DEFAULT_SEED);
-            let mut params = ola_nn::synth::synthesize_params(&net, &synth_cfg);
+            let mut params = ola_nn::synth::synthesize_params(&net, &synth_config(network, seed));
             let input = uniform_tensor(
                 net.input_shape(),
                 -1.0,
@@ -139,55 +134,12 @@ impl Prepared {
             network: network.to_string(),
             scale,
             seed,
-            cached: false,
         }
     }
 
-    /// Reassembles a preparation from stored parts: the graph is not
-    /// stored — it is cheap and fully determined by `(network, scale)` —
-    /// so it is rebuilt here and the tensors are checked against it.
-    pub fn from_parts(
-        network: &str,
-        scale: usize,
-        seed: u64,
-        params: Params,
-        acts: Vec<Tensor>,
-    ) -> Result<Self, String> {
-        let net = zoo_graph(network, scale)?;
-        let nodes = net.nodes().len();
-        if params.len() != nodes || acts.len() != nodes {
-            return Err(format!(
-                "{} params / {} acts do not match the {nodes} nodes of {network} \
-                 (scale {scale})",
-                params.len(),
-                acts.len()
-            ));
-        }
-        Ok(Prepared {
-            net,
-            params,
-            acts,
-            network: network.to_string(),
-            scale,
-            seed,
-            cached: false,
-        })
-    }
-
-    /// Extracts a workload set under `policy`, reusing the forward pass.
-    ///
-    /// Cache-resident instances (from [`prepared`] / [`PrepCache`]) also
-    /// memoize the extraction per policy; directly-constructed ones extract
-    /// fresh each call.
-    pub fn workloads(&self, policy: &QuantPolicy) -> Arc<WorkloadSet> {
-        if self.cached {
-            PrepCache::global().workloads_for(self, policy)
-        } else {
-            Arc::new(self.extract(policy))
-        }
-    }
-
-    /// Uncached workload extraction under `policy`.
+    /// Workload extraction under `policy`, reusing the forward pass. Not
+    /// memoized: experiment code fetches workload sets through
+    /// [`workloads`] / [`PrepCache::workloads`].
     pub fn extract(&self, policy: &QuantPolicy) -> WorkloadSet {
         timing::timed(timing::Phase::Extract, || {
             extract_from_acts(&self.net, &self.params, &self.acts, policy)
@@ -195,12 +147,19 @@ impl Prepared {
     }
 
     /// Workloads under the paper's standard OLAccel16 / OLAccel8 policies.
-    pub fn paper_workloads(&self) -> (Arc<WorkloadSet>, Arc<WorkloadSet>) {
+    pub fn paper_workloads(&self) -> (WorkloadSet, WorkloadSet) {
         (
-            self.workloads(&QuantPolicy::olaccel16(&self.network)),
-            self.workloads(&QuantPolicy::olaccel8(&self.network)),
+            self.extract(&QuantPolicy::olaccel16(&self.network)),
+            self.extract(&QuantPolicy::olaccel8(&self.network)),
         )
     }
+}
+
+/// The synthesis configuration of `network` at preparation seed `seed`:
+/// parameter streams derive from a seed-dependent offset of the synthesis
+/// base seed, so [`DEFAULT_SEED`] keeps the default streams.
+pub(crate) fn synth_config(network: &str, seed: u64) -> SynthConfig {
+    SynthConfig::for_network_seeded(network, seed ^ DEFAULT_SEED)
 }
 
 /// The zoo configuration every preparation (cold build or store reload)
@@ -223,43 +182,17 @@ pub(crate) fn zoo_graph(network: &str, scale: usize) -> Result<Network, String> 
         .ok_or_else(|| format!("no zoo network {network:?} at scale {scale}"))
 }
 
-/// The persisted form of a prepared network: its key fields, then the
-/// parameters and activations. A decoded record rebuilds its graph and
-/// must match it (see [`Prepared::from_parts`]).
-impl Artifact for Prepared {
-    const KIND: u8 = 1;
-    const PREFIX: &'static str = "prep";
-    fn version() -> u64 {
-        code_version()
-    }
-    fn encode(&self, w: &mut Writer) {
-        w.string(&self.network);
-        w.u64(self.scale as u64);
-        w.u64(self.seed);
-        encode_params(w, &self.params);
-        w.len(self.acts.len());
-        for t in &self.acts {
-            encode_tensor(w, t);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let network = r.string()?;
-        let scale = r.u64()? as usize;
-        let seed = r.u64()?;
-        let params = decode_params(r)?;
-        let n = r.len(8)?;
-        let acts = (0..n).map(|_| decode_tensor(r)).collect::<Result<_, _>>()?;
-        let mut p = Prepared::from_parts(&network, scale, seed, params, acts)
-            .map_err(StoreError::Corrupt)?;
-        p.cached = true;
-        Ok(p)
-    }
-}
-
 /// Fetches (or builds, exactly once per process) the shared [`Prepared`]
 /// network for `(network, scale)` at the suite's [`DEFAULT_SEED`].
 pub fn prepared(network: &str, scale: usize) -> Arc<Prepared> {
     PrepCache::global().prepared(network, scale, DEFAULT_SEED)
+}
+
+/// Fetches (or extracts, exactly once per process) the shared
+/// [`WorkloadSet`] of `(network, scale)` under `policy` at the suite's
+/// [`DEFAULT_SEED`].
+pub fn workloads(network: &str, scale: usize, policy: &QuantPolicy) -> Arc<WorkloadSet> {
+    PrepCache::global().workloads(network, scale, DEFAULT_SEED, policy)
 }
 
 /// The key fold of a preparation; workload sets extend it with the
@@ -320,7 +253,7 @@ impl CacheStats {
 }
 
 /// Attaches the persistent disk tier at `dir` to *every* process-wide
-/// cache: the [`PrepCache`] (prepared networks, workload sets), the
+/// cache: the [`PrepCache`] (workload sets), the
 /// model-phase [`ola_sim::SimCache`] (per-layer simulation results), the
 /// eval-phase [`ola_quant::EvalCache`] (quantized-accuracy results) and
 /// the figure-level stages (see [`FigureStats`]). This is what
@@ -393,9 +326,10 @@ impl FigureStats {
     }
 }
 
-/// Process-wide memoization of [`Prepared`] networks and [`WorkloadSet`]s,
-/// with an optional persistent disk tier: one [`Stage`] per level.
-/// Requests for *different* keys never serialize on each other's builds.
+/// Process-wide memoization of [`Prepared`] networks and [`WorkloadSet`]s:
+/// one [`Stage`] per level, the workload sets with an optional persistent
+/// disk tier. Requests for *different* keys never serialize on each
+/// other's builds.
 #[derive(Default)]
 pub struct PrepCache {
     prepared: Stage<Prepared>,
@@ -414,35 +348,41 @@ impl PrepCache {
         GLOBAL.get_or_init(PrepCache::new)
     }
 
-    /// Attaches (or, with `None`, detaches) the persistent disk tier.
-    /// Misses read through to the store before computing and fresh builds
-    /// write through after; already-resident entries are unaffected.
+    /// Attaches (or, with `None`, detaches) the persistent disk tier of
+    /// the workload sets. Misses read through to the store before
+    /// computing and fresh extractions write through after;
+    /// already-resident entries are unaffected. Prepared networks stay in
+    /// memory: a miss re-synthesizes them exactly (DESIGN.md §13).
     pub fn set_disk(&self, dir: Option<&Path>) -> Result<(), StoreError> {
-        let store = dir.map(ArtifactStore::open).transpose()?.map(Arc::new);
-        self.prepared.set_tier(store.clone().map(|s| s as _));
-        self.workloads.set_tier(store.map(|s| s as _));
+        let store = dir.map(ArtifactStore::open).transpose()?;
+        self.workloads.set_tier(store.map(|s| Arc::new(s) as _));
         Ok(())
     }
 
     /// Fetches or builds the [`Prepared`] network for a key. Exactly one
-    /// caller per key runs the synthesis (or the disk load); the rest
-    /// count hits.
+    /// caller per key runs the synthesis; the rest count hits.
     pub fn prepared(&self, network: &str, scale: usize, seed: u64) -> Arc<Prepared> {
         let key = prep_key(network, scale, seed).finish();
-        self.prepared.get(key, || {
-            let mut p = Prepared::with_seed(network, scale, seed);
-            p.cached = true;
-            p
-        })
+        self.prepared
+            .get(key, || Prepared::with_seed(network, scale, seed))
     }
 
-    /// Fetches or extracts the [`WorkloadSet`] of `prep` under `policy`.
-    /// Policies with equal folds (see [`QuantPolicy::fold`]) share one
-    /// set.
-    pub fn workloads_for(&self, prep: &Prepared, policy: &QuantPolicy) -> Arc<WorkloadSet> {
-        let mut key = prep_key(&prep.network, prep.scale, prep.seed);
+    /// Fetches or extracts the [`WorkloadSet`] of `(network, scale, seed)`
+    /// under `policy`: from memory, else the disk tier, else extracted
+    /// from the (memoized) preparation. Policies with equal folds (see
+    /// [`QuantPolicy::fold`]) share one set.
+    pub fn workloads(
+        &self,
+        network: &str,
+        scale: usize,
+        seed: u64,
+        policy: &QuantPolicy,
+    ) -> Arc<WorkloadSet> {
+        let mut key = prep_key(network, scale, seed);
         policy.fold(&mut key);
-        self.workloads.get(key.finish(), || prep.extract(policy))
+        self.workloads.get(key.finish(), || {
+            self.prepared(network, scale, seed).extract(policy)
+        })
     }
 
     /// Snapshots the hit/miss counters.
@@ -485,16 +425,16 @@ pub struct SixWay {
 }
 
 impl SixWay {
-    /// Runs all six configurations on the paper's workloads.
-    pub fn run(prep: &Prepared, tech: &TechParams) -> SixWay {
-        let (ws16, ws8) = prep.paper_workloads();
+    /// Runs all six configurations on the paper's workloads: `ws16` under
+    /// the OLAccel16 policy, `ws8` under OLAccel8.
+    pub fn run(ws16: &WorkloadSet, ws8: &WorkloadSet, tech: &TechParams) -> SixWay {
         SixWay {
-            eyeriss16: EyerissSim::new(*tech, ComparisonMode::Bits16).simulate(&ws16),
-            eyeriss8: EyerissSim::new(*tech, ComparisonMode::Bits8).simulate(&ws8),
-            zena16: ZenaSim::new(*tech, ComparisonMode::Bits16).simulate(&ws16),
-            zena8: ZenaSim::new(*tech, ComparisonMode::Bits8).simulate(&ws8),
-            olaccel16: OlAccelSim::new(*tech, ComparisonMode::Bits16).simulate(&ws16),
-            olaccel8: OlAccelSim::new(*tech, ComparisonMode::Bits8).simulate(&ws8),
+            eyeriss16: EyerissSim::new(*tech, ComparisonMode::Bits16).simulate(ws16),
+            eyeriss8: EyerissSim::new(*tech, ComparisonMode::Bits8).simulate(ws8),
+            zena16: ZenaSim::new(*tech, ComparisonMode::Bits16).simulate(ws16),
+            zena8: ZenaSim::new(*tech, ComparisonMode::Bits8).simulate(ws8),
+            olaccel16: OlAccelSim::new(*tech, ComparisonMode::Bits16).simulate(ws16),
+            olaccel8: OlAccelSim::new(*tech, ComparisonMode::Bits8).simulate(ws8),
         }
     }
 
@@ -537,11 +477,12 @@ mod tests {
         assert_eq!((s.prepared_misses, s.prepared_hits), (1, 1));
 
         let policy = QuantPolicy::olaccel16("alexnet");
-        let w1 = cache.workloads_for(&a, &policy);
-        let w2 = cache.workloads_for(&b, &policy);
+        let w1 = cache.workloads("alexnet", 8, DEFAULT_SEED, &policy);
+        let w2 = cache.workloads("alexnet", 8, DEFAULT_SEED, &policy);
         assert!(Arc::ptr_eq(&w1, &w2));
         let s = cache.stats();
         assert_eq!((s.workload_misses, s.workload_hits), (1, 1));
+        assert_eq!(s.prepared_misses, 1, "extraction reuses the preparation");
     }
 
     #[test]
@@ -553,9 +494,8 @@ mod tests {
         b.outlier_ratio = -0.0;
 
         let cache = PrepCache::new();
-        let prep = cache.prepared("alexnet", 8, DEFAULT_SEED);
-        let w_a = cache.workloads_for(&prep, &a);
-        let w_b = cache.workloads_for(&prep, &b);
+        let w_a = cache.workloads("alexnet", 8, DEFAULT_SEED, &a);
+        let w_b = cache.workloads("alexnet", 8, DEFAULT_SEED, &b);
         assert!(Arc::ptr_eq(&w_a, &w_b), "-0.0 and 0.0 split the cache");
         assert_eq!(cache.stats().workload_misses, 1);
         // NaN payloads fold onto one key too (`QuantPolicy::fold`'s tests).
@@ -564,28 +504,20 @@ mod tests {
     #[test]
     fn distinct_policies_get_distinct_entries() {
         let cache = PrepCache::new();
-        let prep = cache.prepared("alexnet", 8, DEFAULT_SEED);
+        let ws = |p: &QuantPolicy| cache.workloads("alexnet", 8, DEFAULT_SEED, p);
         let mut p16 = QuantPolicy::olaccel16("alexnet");
-        let w_a = cache.workloads_for(&prep, &p16);
+        let w_a = ws(&p16);
         p16.outlier_ratio = 0.01;
-        let w_b = cache.workloads_for(&prep, &p16);
+        let w_b = ws(&p16);
         assert!(!Arc::ptr_eq(&w_a, &w_b));
         assert_eq!(cache.stats().workload_misses, 2);
 
         // The selection rule is part of the identity too: same ratio,
         // different policy, different extraction.
         p16.select = ola_sim::OutlierSelect::WindowedTopK { window: 16 };
-        let w_c = cache.workloads_for(&prep, &p16);
+        let w_c = ws(&p16);
         assert!(!Arc::ptr_eq(&w_b, &w_c), "select must key the cache");
         assert_eq!(cache.stats().workload_misses, 3);
-    }
-
-    #[test]
-    fn from_parts_rejects_unknown_graphs_without_panicking() {
-        for (network, scale) in [("alexnet", 0), ("nope", 8)] {
-            let err = Prepared::from_parts(network, scale, 1, Params::sized(0), Vec::new());
-            assert!(err.is_err(), "{network} at scale {scale}");
-        }
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! qualitative conclusion — OLAccel wins, driven by memory — should hold
 //! across the whole range; the exact percentage moves.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::{default_scale, workloads};
 use crate::report::{num, pct, table};
 use ola_baselines::ZenaSim;
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
-use ola_sim::WorkloadSet;
+use ola_sim::{QuantPolicy, WorkloadSet};
 
 fn reduction_with(tech: &TechParams, ws: &WorkloadSet) -> f64 {
     let zena = ZenaSim::new(*tech, ComparisonMode::Bits16).simulate(ws);
@@ -22,8 +22,8 @@ fn reduction_with(tech: &TechParams, ws: &WorkloadSet) -> f64 {
 
 /// Runs the sweep and formats the report.
 pub fn run(fast: bool) -> String {
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
-    let (ws16, _) = prep.paper_workloads();
+    let policy = QuantPolicy::olaccel16("alexnet");
+    let ws16 = workloads("alexnet", default_scale("alexnet", fast), &policy);
     let base = TechParams::default();
 
     // Materialize the sweep grid first, then evaluate every point in

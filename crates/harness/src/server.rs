@@ -124,7 +124,7 @@ pub fn serve(socket: &Path, options: &RunOptions) -> std::io::Result<ServeSummar
     SHUTDOWN.store(false, Ordering::SeqCst);
     install_signal_handlers();
     if let Some(dir) = &options.cache_dir {
-        // Every persistent tier: prepared artifacts, per-layer sim records
+        // Every persistent tier: workload sets, per-layer sim records
         // *and* eval records, so a warm daemon skips the model and eval
         // phases too.
         crate::prep::attach_disk_store(dir)

@@ -9,7 +9,7 @@
 //! worker count. `validate` covers AlexNet; `validate-<network>` runs the
 //! same cross-check on any zoo network.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::{default_scale, workloads};
 use crate::report::{num, table};
 use ola_core::cost::GroupTuning;
 use ola_core::event::{validate_layer, EventConfig};
@@ -24,8 +24,8 @@ pub fn run(fast: bool) -> String {
 
 /// Runs the validation on every compute layer of `network`.
 pub fn run_network(network: &str, fast: bool) -> String {
-    let prep = prepared(network, default_scale(network, fast));
-    let ws = prep.workloads(&QuantPolicy::olaccel16(network));
+    let policy = QuantPolicy::olaccel16(network);
+    let ws = workloads(network, default_scale(network, fast), &policy);
     let tuning = GroupTuning::default();
     let cfg = EventConfig::default();
 

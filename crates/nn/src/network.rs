@@ -195,6 +195,18 @@ pub enum WeightStore {
     RowGen(SyntheticMatrix),
 }
 
+impl WeightStore {
+    /// All weight values (sampled for row generators, like
+    /// [`crate::synth::weight_values`]); dense weights move out without a
+    /// copy.
+    pub fn into_values(self) -> Vec<f32> {
+        match self {
+            WeightStore::Dense(t) => t.into_vec(),
+            WeightStore::RowGen(g) => g.sample_values(crate::synth::SAMPLED_ROWS),
+        }
+    }
+}
+
 /// Parameter set for a [`Network`]: per-node optional weights, biases and
 /// batch-norm affine terms.
 #[derive(Clone, Debug, Default)]
@@ -250,11 +262,6 @@ impl Params {
     /// Weights of node `id`, if set.
     pub fn weights(&self, id: NodeId) -> Option<&WeightStore> {
         self.weights.get(id).and_then(|w| w.as_ref())
-    }
-
-    /// Removes and returns the weights of node `id`, if set.
-    pub fn take_weights(&mut self, id: NodeId) -> Option<WeightStore> {
-        self.weights.get_mut(id).and_then(Option::take)
     }
 
     /// Bias of node `id`, if set.
@@ -681,17 +688,6 @@ mod tests {
     use super::*;
     use crate::layer::{Conv2dSpec, LinearSpec, PoolSpec};
     use ola_tensor::ConvGeometry;
-
-    #[test]
-    fn take_weights_empties_the_slot() {
-        let mut params = Params::sized(2);
-        let w = Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![0.5, -1.0]);
-        params.set_weights(1, WeightStore::Dense(w.clone()));
-        assert!(params.take_weights(0).is_none());
-        assert!(matches!(params.take_weights(1), Some(WeightStore::Dense(t)) if t == w));
-        assert!(params.weights(1).is_none());
-        assert!(params.take_weights(7).is_none(), "out of range is None");
-    }
 
     #[test]
     fn conv2d_identity_kernel() {

@@ -101,26 +101,6 @@ impl SyntheticMatrix {
         self.rows * self.cols
     }
 
-    /// The heavy-tailed mixture rows are drawn from.
-    ///
-    /// Together with [`SyntheticMatrix::sparsity`] and
-    /// [`SyntheticMatrix::base_seed`] this is the generator's complete
-    /// identity — the artifact store persists these five scalars instead of
-    /// the (potentially hundreds of megabytes of) materialized values.
-    pub fn dist(&self) -> ola_tensor::init::HeavyTailed {
-        self.dist
-    }
-
-    /// Per-row magnitude-pruning sparsity target.
-    pub fn sparsity(&self) -> f64 {
-        self.sparsity
-    }
-
-    /// The base seed every row's Philox stream derives from.
-    pub fn base_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Whether the matrix is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
         false
@@ -392,60 +372,96 @@ impl SynthConfig {
 /// generation (elements).
 const DENSE_LINEAR_LIMIT: usize = 1 << 22; // 4M weights = 16 MB f32
 
-/// Synthesizes a full parameter set for `net`.
+/// One node's synthesized parameters (see [`synthesize_node`]): weights
+/// and a bias for a conv or linear layer, affine terms for a batch norm,
+/// nothing for any other node.
+#[derive(Clone, Debug, Default)]
+pub struct NodeParams {
+    /// The layer's weights.
+    pub weights: Option<WeightStore>,
+    /// The layer's bias.
+    pub bias: Option<Vec<f32>>,
+    /// BatchNorm `(scale, shift)`.
+    pub bn: Option<(Vec<f32>, Vec<f32>)>,
+}
+
+/// Synthesizes the parameters of node `id` of `net` alone.
 ///
 /// Conv layers get materialized heavy-tailed, pruned weights; linear layers
 /// larger than a few million weights get a [`SyntheticMatrix`] row generator.
 /// BatchNorm nodes get near-identity affine terms with a small negative shift
-/// so post-ReLU sparsity resembles trained networks.
+/// so post-ReLU sparsity resembles trained networks. A node's draws depend
+/// only on `cfg`, its id and its position among the conv layers, so this
+/// equals node `id`'s slot of [`synthesize_params`] bit for bit.
+pub fn synthesize_node(net: &Network, id: NodeId, cfg: &SynthConfig) -> NodeParams {
+    let node = &net.nodes()[id];
+    let seed = cfg.seed.wrapping_add(id as u64 * 7919);
+    let conv_index = net.nodes()[..id]
+        .iter()
+        .filter(|n| matches!(n.op, Op::Conv(_)))
+        .count();
+    let (weights, out_features) = match node.op {
+        Op::Conv(spec) => {
+            let sparsity = cfg.profile.sparsity(conv_index, false, cfg);
+            let mut w = heavy_tailed_tensor(spec.weight_shape(), cfg.conv_dist, seed);
+            prune_to_sparsity(&mut w, sparsity);
+            (WeightStore::Dense(w), spec.out_channels)
+        }
+        Op::Linear(spec) => {
+            let sparsity = cfg.profile.sparsity(conv_index, true, cfg);
+            let weights = if spec.weight_count() <= DENSE_LINEAR_LIMIT {
+                let mut w = heavy_tailed_tensor(
+                    Shape4::new(1, 1, spec.out_features, spec.in_features),
+                    cfg.fc_dist,
+                    seed,
+                );
+                prune_to_sparsity(&mut w, sparsity);
+                WeightStore::Dense(w)
+            } else {
+                WeightStore::RowGen(SyntheticMatrix::new(
+                    spec.out_features,
+                    spec.in_features,
+                    cfg.fc_dist,
+                    sparsity,
+                    seed,
+                ))
+            };
+            (weights, spec.out_features)
+        }
+        Op::BatchNorm => {
+            let c = net.shapes()[node.inputs[0]].c;
+            let mut rng = Philox::new(seed, 0);
+            let scale: Vec<f32> = (0..c).map(|_| rng.gen_range(0.7..1.3)).collect();
+            // Slight negative shift drives realistic post-ReLU sparsity.
+            let shift: Vec<f32> = (0..c).map(|_| rng.gen_range(-0.15..0.05)).collect();
+            return NodeParams {
+                bn: Some((scale, shift)),
+                ..NodeParams::default()
+            };
+        }
+        _ => return NodeParams::default(),
+    };
+    NodeParams {
+        weights: Some(weights),
+        bias: Some(small_bias(out_features, seed ^ 0xB1A5)),
+        bn: None,
+    }
+}
+
+/// Synthesizes a full parameter set for `net`: [`synthesize_node`] for
+/// every node.
 pub fn synthesize_params(net: &Network, cfg: &SynthConfig) -> Params {
     let mut params = Params::for_network(net);
-    let shapes = net.shapes();
-    let mut conv_index = 0usize;
-    for (id, node) in net.nodes().iter().enumerate() {
-        let seed = cfg.seed.wrapping_add(id as u64 * 7919);
-        match node.op {
-            Op::Conv(spec) => {
-                let sparsity = cfg.profile.sparsity(conv_index, false, cfg);
-                conv_index += 1;
-                let mut w = heavy_tailed_tensor(spec.weight_shape(), cfg.conv_dist, seed);
-                prune_to_sparsity(&mut w, sparsity);
-                params.set_weights(id, WeightStore::Dense(w));
-                params.set_bias(id, small_bias(spec.out_channels, seed ^ 0xB1A5));
-            }
-            Op::Linear(spec) => {
-                let sparsity = cfg.profile.sparsity(conv_index, true, cfg);
-                if spec.weight_count() <= DENSE_LINEAR_LIMIT {
-                    let mut w = heavy_tailed_tensor(
-                        Shape4::new(1, 1, spec.out_features, spec.in_features),
-                        cfg.fc_dist,
-                        seed,
-                    );
-                    prune_to_sparsity(&mut w, sparsity);
-                    params.set_weights(id, WeightStore::Dense(w));
-                } else {
-                    params.set_weights(
-                        id,
-                        WeightStore::RowGen(SyntheticMatrix::new(
-                            spec.out_features,
-                            spec.in_features,
-                            cfg.fc_dist,
-                            sparsity,
-                            seed,
-                        )),
-                    );
-                }
-                params.set_bias(id, small_bias(spec.out_features, seed ^ 0xB1A5));
-            }
-            Op::BatchNorm => {
-                let c = shapes[node.inputs[0]].c;
-                let mut rng = Philox::new(seed, 0);
-                let scale: Vec<f32> = (0..c).map(|_| rng.gen_range(0.7..1.3)).collect();
-                // Slight negative shift drives realistic post-ReLU sparsity.
-                let shift: Vec<f32> = (0..c).map(|_| rng.gen_range(-0.15..0.05)).collect();
-                params.set_bn(id, scale, shift);
-            }
-            _ => {}
+    for id in 0..net.nodes().len() {
+        let node = synthesize_node(net, id, cfg);
+        if let Some(w) = node.weights {
+            params.set_weights(id, w);
+        }
+        if let Some(b) = node.bias {
+            params.set_bias(id, b);
+        }
+        if let Some((scale, shift)) = node.bn {
+            params.set_bn(id, scale, shift);
         }
     }
     params
@@ -550,6 +566,10 @@ where
     measured
 }
 
+/// Rows of a row-generated matrix that weight statistics and value
+/// populations sample.
+pub(crate) const SAMPLED_ROWS: usize = 64;
+
 /// Summary statistics of a weight population, as the simulators consume them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WeightStats {
@@ -574,7 +594,7 @@ pub fn weight_stats(params: &Params, id: NodeId) -> WeightStats {
             abs_max: t.abs_max(),
         },
         Some(WeightStore::RowGen(g)) => {
-            let sample = g.sample_values(64);
+            let sample = g.sample_values(SAMPLED_ROWS);
             let zeros = sample.iter().filter(|&&v| v == 0.0).count();
             let abs_max = sample.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
             WeightStats {
@@ -592,7 +612,7 @@ pub fn weight_stats(params: &Params, id: NodeId) -> WeightStats {
 pub fn weight_values(params: &Params, id: NodeId) -> Vec<f32> {
     match params.weights(id) {
         Some(WeightStore::Dense(t)) => t.as_slice().to_vec(),
-        Some(WeightStore::RowGen(g)) => g.sample_values(64),
+        Some(WeightStore::RowGen(g)) => g.sample_values(SAMPLED_ROWS),
         None => panic!("node {id} has no weights"),
     }
 }
@@ -661,6 +681,44 @@ mod tests {
         assert_eq!(stats.count, 16 * 3 * 9);
         assert!((stats.zero_fraction - 0.5).abs() < 0.01);
         assert!(stats.abs_max > 0.0);
+    }
+
+    #[test]
+    fn per_node_synthesis_matches_the_whole_network() {
+        use crate::zoo::{self, ZooConfig};
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rowgens = 0;
+        for (network, scale) in [("alexnet", 4), ("resnet18", 8)] {
+            let cfg = ZooConfig {
+                spatial_scale: scale,
+                include_classifier: true,
+                batch: 1,
+            };
+            let net = zoo::by_name(network, &cfg);
+            let synth = SynthConfig::for_network(network);
+            let whole = synthesize_params(&net, &synth);
+            for id in 0..net.nodes().len() {
+                let node = synthesize_node(&net, id, &synth);
+                match (&node.weights, whole.weights(id)) {
+                    (None, None) => {}
+                    (Some(WeightStore::Dense(a)), Some(WeightStore::Dense(b))) => {
+                        assert_eq!(a.shape(), b.shape(), "{network} node {id}");
+                        assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{network} {id}");
+                    }
+                    (Some(WeightStore::RowGen(a)), Some(WeightStore::RowGen(b))) => {
+                        assert_eq!(a, b, "{network} node {id}");
+                        rowgens += 1;
+                    }
+                    other => panic!("{network} node {id}: {other:?}"),
+                }
+                let bias = node.bias.as_deref().map(bits);
+                assert_eq!(bias, whole.bias(id).map(bits), "{network} {id}");
+                let bn = node.bn.as_ref().map(|(s, sh)| (bits(s), bits(sh)));
+                let want = whole.bn(id).map(|(s, sh)| (bits(s), bits(sh)));
+                assert_eq!(bn, want, "{network} node {id}");
+            }
+        }
+        assert!(rowgens >= 1, "no row-generated layer was compared");
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! (De)serialization of the workspace's artifacts — parameters,
-//! activations, workload sets, simulation and accuracy records — onto the
-//! [`crate::wire`] primitives.
+//! (De)serialization of the workspace's artifacts — workload sets,
+//! simulation and accuracy records — onto the [`crate::wire`] primitives.
 //!
 //! Every float travels by bit pattern, so a decoded artifact is
 //! *bit-identical* to the one that was encoded — the property that lets a
@@ -11,166 +10,16 @@
 
 use crate::wire::{corrupt, Reader, StoreError, Writer};
 use ola_energy::{ComparisonMode, EnergyBreakdown};
-use ola_nn::network::WeightStore;
-use ola_nn::synth::SyntheticMatrix;
-use ola_nn::Params;
 use ola_quant::accuracy::QuantAccuracy;
 use ola_sim::policy::FirstLayerPolicy;
 use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser, WorkloadSet};
 use ola_sim::{EventRecord, LayerRun, OutlierSelect, QuantPolicy, Utilization};
-use ola_tensor::init::HeavyTailed;
-use ola_tensor::{Shape4, Tensor};
 
-/// Upper bound on any single tensor dimension accepted from disk — far
-/// beyond anything the zoo produces, small enough that a corrupt length
-/// fails validation instead of attempting an absurd allocation.
+/// Upper bound on any single shape dimension or policy window accepted
+/// from disk — far beyond anything the zoo produces, small enough that a
+/// corrupt value fails validation instead of attempting an absurd
+/// allocation.
 const MAX_DIM: u64 = 1 << 24;
-
-// --- tensors ---
-
-/// Encodes a tensor: shape as four `u64`s, then the length-prefixed data.
-pub fn encode_tensor(w: &mut Writer, t: &Tensor) {
-    let s = t.shape();
-    w.u64(s.n as u64);
-    w.u64(s.c as u64);
-    w.u64(s.h as u64);
-    w.u64(s.w as u64);
-    w.f32s(t.as_slice());
-}
-
-/// Decodes a tensor written by [`encode_tensor`].
-pub fn decode_tensor(r: &mut Reader<'_>) -> Result<Tensor, StoreError> {
-    let dims = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    if dims.iter().any(|&d| d > MAX_DIM) {
-        return Err(corrupt(format!("implausible tensor dimension {dims:?}")));
-    }
-    let len = dims
-        .iter()
-        .try_fold(1u64, |acc, &d| acc.checked_mul(d))
-        .filter(|&l| l <= MAX_DIM * 16)
-        .ok_or_else(|| corrupt("tensor element count overflows"))?;
-    let data = r.f32s()?;
-    if data.len() as u64 != len {
-        return Err(corrupt(format!(
-            "tensor data length {} does not match shape {dims:?}",
-            data.len()
-        )));
-    }
-    let shape = Shape4::new(
-        dims[0] as usize,
-        dims[1] as usize,
-        dims[2] as usize,
-        dims[3] as usize,
-    );
-    Ok(Tensor::from_vec(shape, data))
-}
-
-// --- parameters ---
-
-const WS_NONE: u8 = 0;
-const WS_DENSE: u8 = 1;
-const WS_ROWGEN: u8 = 2;
-
-fn encode_weight_store(w: &mut Writer, ws: &WeightStore) {
-    match ws {
-        WeightStore::Dense(t) => {
-            w.u8(WS_DENSE);
-            encode_tensor(w, t);
-        }
-        WeightStore::RowGen(g) => {
-            // A generated matrix is five scalars: rows regenerate
-            // bit-identically from (seed, row) on load.
-            w.u8(WS_ROWGEN);
-            w.u64(g.rows() as u64);
-            w.u64(g.cols() as u64);
-            let d = g.dist();
-            w.f32(d.sigma);
-            w.f64(d.tail_fraction);
-            w.f32(d.tail_scale);
-            w.f64(g.sparsity());
-            w.u64(g.base_seed());
-        }
-    }
-}
-
-/// Encodes a parameter set: node count, then per node the optional
-/// weights, bias and batch-norm affine terms.
-pub fn encode_params(w: &mut Writer, params: &Params) {
-    w.len(params.len());
-    for id in 0..params.len() {
-        match params.weights(id) {
-            None => w.u8(WS_NONE),
-            Some(ws) => encode_weight_store(w, ws),
-        }
-        match params.bias(id) {
-            None => w.u8(0),
-            Some(b) => {
-                w.u8(1);
-                w.f32s(b);
-            }
-        }
-        match params.bn(id) {
-            None => w.u8(0),
-            Some((scale, shift)) => {
-                w.u8(1);
-                w.f32s(scale);
-                w.f32s(shift);
-            }
-        }
-    }
-}
-
-/// Decodes a parameter set written by [`encode_params`].
-pub fn decode_params(r: &mut Reader<'_>) -> Result<Params, StoreError> {
-    let n = r.len(3)?;
-    let mut params = Params::sized(n);
-    for id in 0..n {
-        match r.u8()? {
-            WS_NONE => {}
-            WS_DENSE => params.set_weights(id, WeightStore::Dense(decode_tensor(r)?)),
-            WS_ROWGEN => params.set_weights(id, decode_rowgen_body(r)?),
-            other => return Err(corrupt(format!("unknown weight-store tag {other}"))),
-        }
-        if r.u8()? == 1 {
-            params.set_bias(id, r.f32s()?);
-        }
-        if r.u8()? == 1 {
-            let scale = r.f32s()?;
-            let shift = r.f32s()?;
-            params.set_bn(id, scale, shift);
-        }
-    }
-    Ok(params)
-}
-
-/// Decodes the body of a row-generator record (tag already consumed),
-/// re-validating every constructor precondition so corrupt bytes surface
-/// as [`StoreError::Corrupt`] rather than panicking inside `ola-nn`.
-fn decode_rowgen_body(r: &mut Reader<'_>) -> Result<WeightStore, StoreError> {
-    let rows = r.u64()?;
-    let cols = r.u64()?;
-    let sigma = r.f32()?;
-    let tail_fraction = r.f64()?;
-    let tail_scale = r.f32()?;
-    let sparsity = r.f64()?;
-    let seed = r.u64()?;
-    if rows == 0 || cols == 0 || rows > MAX_DIM || cols > MAX_DIM {
-        return Err(corrupt("row-generator dimensions out of range"));
-    }
-    if !(0.0..=1.0).contains(&sparsity) || !(0.0..=1.0).contains(&tail_fraction) {
-        return Err(corrupt("row-generator fraction out of range"));
-    }
-    if !sigma.is_finite() || sigma <= 0.0 || !tail_scale.is_finite() || tail_scale <= 0.0 {
-        return Err(corrupt("row-generator scale out of range"));
-    }
-    Ok(WeightStore::RowGen(SyntheticMatrix::new(
-        rows as usize,
-        cols as usize,
-        HeavyTailed::new(sigma, tail_fraction, tail_scale),
-        sparsity,
-        seed,
-    )))
-}
 
 // --- quantization policy ---
 
@@ -469,47 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn tensor_codec_round_trips_bits() {
-        let t = Tensor::from_vec(
-            Shape4::new(1, 2, 2, 2),
-            vec![0.0, -0.0, f32::NAN, 1.5, -2.5, f32::INFINITY, 3.0, -4.0],
-        );
-        assert_eq!(
-            round_trip(&t, encode_tensor, decode_tensor).shape(),
-            t.shape()
-        );
-    }
-
-    #[test]
-    fn params_codec_round_trips_every_store_kind() {
-        let mut params = Params::sized(4);
-        let dense = Tensor::from_vec(Shape4::new(2, 1, 1, 2), vec![1.0, -2.0, 0.0, 4.5]);
-        params.set_weights(1, WeightStore::Dense(dense));
-        params.set_bias(1, vec![0.5, -0.5]);
-        let dist = HeavyTailed::new(0.02, 0.03, 6.0);
-        let rowgen = SyntheticMatrix::new(8, 16, dist, 0.9, 1234);
-        params.set_weights(2, WeightStore::RowGen(rowgen));
-        params.set_bn(3, vec![1.0, 2.0], vec![-1.0, -2.0]);
-
-        let back = round_trip(&params, encode_params, decode_params);
-        assert_eq!(back.len(), 4);
-        assert!(back.weights(0).is_none());
-        match (params.weights(2).unwrap(), back.weights(2).unwrap()) {
-            (WeightStore::RowGen(a), WeightStore::RowGen(b)) => {
-                assert_eq!(a, b);
-                assert_eq!(a.row(3), b.row(3), "regenerated rows must match");
-            }
-            other => panic!("expected row generators, got {other:?}"),
-        }
-        match back.weights(1).unwrap() {
-            WeightStore::Dense(t) => assert_eq!(t.as_slice(), &[1.0, -2.0, 0.0, 4.5]),
-            other => panic!("expected dense weights, got {other:?}"),
-        }
-        assert_eq!(back.bias(1).unwrap(), &[0.5, -0.5]);
-        assert_eq!(back.bn(3).unwrap().0, &[1.0, 2.0]);
-    }
-
-    #[test]
     fn policy_codec_round_trips() {
         let mut windowed = QuantPolicy::olaccel16("vgg16");
         windowed.select = OutlierSelect::WindowedTopK { window: 16 };
@@ -578,14 +386,27 @@ mod tests {
 
     #[test]
     fn corrupt_tags_are_errors_not_panics() {
-        // One node whose weight-store tag is bogus.
-        let mut w = Writer::new();
-        w.len(1);
-        for b in [9, 0, 0] {
-            w.u8(b);
+        // A policy whose comparison-mode, first-layer or outlier-select tag
+        // is bogus, and a workload layer whose kind tag is.
+        let policy = |mode, first, select| {
+            let mut w = Writer::new();
+            w.u8(mode);
+            w.u32(4);
+            w.f64(0.03);
+            w.u8(first);
+            w.u8(select);
+            w.into_bytes()
+        };
+        for buf in [policy(9, 0, 0), policy(0, 9, 0), policy(0, 0, 9)] {
+            let mut r = Reader::new(&buf);
+            assert!(matches!(decode_policy(&mut r), Err(StoreError::Corrupt(_))));
         }
+        let mut w = Writer::new();
+        w.string("conv1");
+        w.u64(0);
+        w.u8(9);
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
-        assert!(matches!(decode_params(&mut r), Err(StoreError::Corrupt(_))));
+        assert!(matches!(decode_layer(&mut r), Err(StoreError::Corrupt(_))));
     }
 }

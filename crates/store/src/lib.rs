@@ -5,15 +5,16 @@
 //!
 //! Preparing an experiment — synthesizing trained-like parameters, running
 //! the f32 forward pass, extracting per-layer workloads — dominates a cold
-//! run's wall clock, yet every one of those artifacts is a *pure function*
+//! run's wall clock, yet the workload set it ends in is a *pure function*
 //! of `(network, spatial scale, seed, quantization policy)` under the
-//! workspace's deterministic RNG. This crate persists them to disk so a
-//! second process (or a long-lived daemon) skips straight to modeling:
+//! workspace's deterministic RNG. This crate persists workload sets and
+//! the records computed from them to disk, so a second process (or a
+//! long-lived daemon) skips straight to modeling:
 //!
 //! - [`wire`]: little-endian writer/reader primitives; decoding never
 //!   panics on malformed bytes.
-//! - [`codec`]: bit-exact (de)serialization of parameters, activations,
-//!   workload sets and simulation/accuracy records.
+//! - [`codec`]: bit-exact (de)serialization of workload sets and
+//!   simulation/accuracy records.
 //! - [`version`]: the compile-time source-text hashes that content-address
 //!   artifacts to the code that produced them — editing any
 //!   artifact-relevant file silently invalidates the cache.

@@ -85,9 +85,10 @@ macro_rules! artifacts {
     )*};
 }
 
-// Kind 1, the prepared network (`prep`), and kinds 6-8, the figure-level
-// records (`train`, `surrogate`, `runtime`), are implemented where those
-// types live, in the harness.
+// Kinds 6-8, the figure-level records (`train`, `surrogate`, `runtime`),
+// are implemented where those types live, in the harness. Kind 1 named the
+// prepared network (`prep`), which is no longer stored: it is retired and
+// never reused, and the other kinds keep their bytes.
 artifacts! {
     WorkloadSet => 2, "ws", code_version, encode_workload_set, decode_workload_set;
     LayerRun => 3, "simrun", model_version, encode_layer_run, decode_layer_run;
@@ -231,21 +232,10 @@ impl<V: Artifact> Tier<V> for ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_params, decode_tensor, encode_params, encode_tensor};
     use crate::test_dir;
     use ola_energy::EnergyBreakdown;
-    use ola_nn::network::WeightStore;
-    use ola_nn::Params;
     use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser};
     use ola_sim::{QuantPolicy, Utilization};
-    use ola_tensor::{Shape4, Tensor};
-
-    // The payload parts of a prepared network, whose record type lives in
-    // the harness.
-    artifacts! {
-        Params => 0xB1, "params", code_version, encode_params, decode_params;
-        Tensor => 0xB2, "tensor", code_version, encode_tensor, decode_tensor;
-    }
 
     /// An encoded payload: equal bytes mean bitwise-equal records.
     fn payload<V: Artifact>(v: &V) -> Vec<u8> {
@@ -304,19 +294,6 @@ mod tests {
                 out_zero_fraction: 0.6,
             }],
         }
-    }
-
-    #[test]
-    fn prepared_round_trip_and_missing() {
-        let mut params = Params::sized(2);
-        let w = Tensor::from_vec(Shape4::new(1, 1, 2, 2), vec![1.0, -1.0, 0.5, 0.0]);
-        params.set_weights(0, WeightStore::Dense(w));
-        params.set_bias(0, vec![0.25]);
-        round_trip("store-params", &params);
-        round_trip(
-            "store-acts",
-            &Tensor::from_vec(Shape4::new(1, 1, 1, 3), vec![0.0, -0.0, f32::NAN]),
-        );
     }
 
     #[test]

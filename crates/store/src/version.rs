@@ -44,7 +44,7 @@ const SOURCES: &[(&str, &str)] = folds![
     "../../tensor/src/stats.rs",
     "../../tensor/src/par.rs",
     // Network substrate: graph construction, synthetic parameters, the
-    // forward pass that produces the cached activations.
+    // forward pass that produces the activations workloads are measured on.
     "../../nn/src/layer.rs",
     "../../nn/src/network.rs",
     "../../nn/src/kernels.rs",
@@ -69,7 +69,7 @@ const SOURCES: &[(&str, &str)] = folds![
 /// Source files whose text determines *simulation result* bytes — the
 /// accelerator cycle/energy models and everything they read. Kept separate
 /// from [`SOURCES`] so an edit to, say, workload extraction invalidates
-/// prepared artifacts without also discarding still-valid sim records (and
+/// workload sets without also discarding still-valid sim records (and
 /// vice versa). Like [`SOURCES`], text-only includes — `ola-store` has no
 /// crate dependency on `ola-core`/`ola-baselines`.
 const MODEL_SOURCES: &[(&str, &str)] = folds![
@@ -105,7 +105,7 @@ const MODEL_SOURCES: &[(&str, &str)] = folds![
 /// quantized forward pass and everything that shapes a `QuantAccuracy`
 /// record. Kept separate from [`SOURCES`]/[`MODEL_SOURCES`] so accelerator
 /// or extraction edits don't discard still-valid eval records (and an eval
-/// edit doesn't discard prep or sim artifacts). Text-only includes — no
+/// edit doesn't discard workload or sim artifacts). Text-only includes — no
 /// crate dependency on `ola-quant` needed.
 const EVAL_SOURCES: &[(&str, &str)] = folds![
     // The evaluation pipeline itself: quantize, calibrate, forward, plus
@@ -130,7 +130,7 @@ const EVAL_SOURCES: &[(&str, &str)] = folds![
 /// fig2's training recipe, fig3's SQNR surrogate and fig16's runtime
 /// counts. Each is folded only into its own record's version, on top of
 /// the fold(s) that record reads, so an edit to one of them invalidates
-/// that record alone — never a prep, ws, sim or eval record. Text-only
+/// that record alone — never a ws, sim or eval record. Text-only
 /// includes, like `prep.rs` in [`SOURCES`].
 const RECIPES: &[(&str, &str)] = folds![
     "../../harness/src/fig02.rs",

@@ -13,7 +13,7 @@ fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let scale = default_scale("alexnet", !full);
     println!("preparing AlexNet workloads at 1/{scale} resolution...");
-    let prep = Prepared::new("alexnet", scale);
-    let six = SixWay::run(&prep, &TechParams::default());
+    let (ws16, ws8) = Prepared::new("alexnet", scale).paper_workloads();
+    let six = SixWay::run(&ws16, &ws8, &TechParams::default());
     println!("{}", fig11_13::render("alexnet", &six));
 }

@@ -1,6 +1,6 @@
 //! Process-wide cache behavior observed through real figure runs: two
 //! experiments that ask for the same `(network, scale, policy)` must share
-//! one synthesis and one extraction.
+//! one synthesis and one extraction, and fig1 builds no preparation.
 //!
 //! This file holds a single `#[test]` on purpose — it resets and inspects
 //! the global [`ola_harness::prep::PrepCache`], and other tests in the same
@@ -33,9 +33,9 @@ fn two_figures_share_one_preparation() {
         after_second.prepared_misses, 1,
         "second figure must reuse the prepared network, not rebuild it"
     );
-    assert!(
-        after_second.prepared_hits >= 1,
-        "second figure should register a prepared-network cache hit"
+    assert_eq!(
+        after_second.prepared_hits, 0,
+        "a workload-set hit must not touch the preparation"
     );
     assert_eq!(
         after_second.workload_misses, 1,
@@ -47,4 +47,14 @@ fn two_figures_share_one_preparation() {
     );
 
     assert!(!r18.is_empty() && !r19.is_empty());
+
+    // fig1 synthesizes only the layer it plots, never a preparation.
+    cache.reset();
+    let r1 = ola_harness::run_experiment("fig1", true);
+    assert_eq!(
+        cache.stats().prepared_misses,
+        0,
+        "fig1 must not build a prepared network"
+    );
+    assert!(!r1.is_empty());
 }

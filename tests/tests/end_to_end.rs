@@ -8,8 +8,8 @@ use ola_energy::{ComparisonMode, TechParams};
 use ola_harness::prep::{Prepared, SixWay};
 
 fn alexnet_six() -> SixWay {
-    let prep = Prepared::new("alexnet", 4);
-    SixWay::run(&prep, &TechParams::default())
+    let (ws16, ws8) = Prepared::new("alexnet", 4).paper_workloads();
+    SixWay::run(&ws16, &ws8, &TechParams::default())
 }
 
 #[test]

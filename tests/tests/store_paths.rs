@@ -1,6 +1,6 @@
 //! Store file names never carry caller-supplied text: after a cold
 //! `--fast` run with the disk tier attached, every file in the store is
-//! `{prefix}-{key:016x}-v{version:016x}.olas` with one of the eight record
+//! `{prefix}-{key:016x}-v{version:016x}.olas` with one of the seven record
 //! prefixes, and a request naming a path-like network fails without
 //! touching the store.
 //!
@@ -15,8 +15,7 @@ use ola_nn::synthnet::{SynthDataset, SynthNet};
 use ola_quant::accuracy::{evaluate_synthnet, QuantSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-const PREFIXES: [&str; 8] = [
-    "prep",
+const PREFIXES: [&str; 7] = [
     "ws",
     "simrun",
     "simev",
@@ -26,7 +25,7 @@ const PREFIXES: [&str; 8] = [
     "runtime",
 ];
 
-/// `^(prep|ws|simrun|simev|eval|train|surrogate|runtime)-[0-9a-f]{16}-v[0-9a-f]{16}\.olas$`.
+/// `^(ws|simrun|simev|eval|train|surrogate|runtime)-[0-9a-f]{16}-v[0-9a-f]{16}\.olas$`.
 fn is_record_name(name: &str) -> bool {
     let hex16 = |s: &str| s.len() == 16 && s.bytes().all(|b| b"0123456789abcdef".contains(&b));
     let parts = name.strip_suffix(".olas").and_then(|s| s.split_once('-'));
@@ -43,7 +42,7 @@ fn cold_run_writes_only_fingerprint_named_records() {
     let dir = common::scratch_dir("store-paths");
     ola_harness::prep::attach_disk_store(&dir).unwrap();
 
-    // Prepared network, workload sets and layer sims; event sims; fig16's
+    // Workload sets and layer sims; event sims; fig16's
     // runtime counts; one accuracy record through the global eval cache;
     // one trained net (a tiny recipe) and one surrogate network.
     for name in ["fig18", "validate", "fig16"] {

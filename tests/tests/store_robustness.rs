@@ -17,16 +17,12 @@ use ola_energy::EnergyBreakdown;
 use ola_harness::fig02::{Recipe, TrainedSynthNet};
 use ola_harness::fig03::SurrogateSqnr;
 use ola_harness::fig16::RuntimeCounts;
-use ola_harness::prep::Prepared;
-use ola_nn::zoo::{self, ZooConfig};
-use ola_nn::Params;
 use ola_quant::accuracy::QuantAccuracy;
 use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser, WorkloadSet};
 use ola_sim::{EventRecord, LayerRun, QuantPolicy, Utilization};
 use ola_store::wire::Writer;
 use ola_store::{Artifact, ArtifactStore};
 use ola_tensor::memo::{Stage, StageStats, Tier};
-use ola_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 use proptest::test_runner::rng_for_case;
 use std::sync::{Arc, OnceLock};
@@ -149,23 +145,6 @@ where
     std::fs::remove_dir_all(store.dir()).ok();
 }
 
-/// A minimal prepared network: the real AlexNet graph with empty
-/// parameters and one two-element activation per node — enough to pass
-/// the graph check while keeping the record small enough to truncate at
-/// every length.
-fn prepared() -> Prepared {
-    let cfg = ZooConfig {
-        spatial_scale: 8,
-        include_classifier: true,
-        batch: 1,
-    };
-    let nodes = zoo::by_name("alexnet", &cfg).nodes().len();
-    let acts = (0..nodes)
-        .map(|i| Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![i as f32, -0.0]))
-        .collect();
-    Prepared::from_parts("alexnet", 8, 7, Params::sized(nodes), acts).unwrap()
-}
-
 fn workloads() -> WorkloadSet {
     let shape = |c, h| Shape4Ser { n: 1, c, h, w: h };
     WorkloadSet {
@@ -265,7 +244,6 @@ fn runtime() -> RuntimeCounts {
 #[test]
 fn every_record_kind_recovers_from_every_corruption() {
     let records = [
-        record(prepared),
         record(workloads),
         record(layer_run),
         record(event),
@@ -279,12 +257,11 @@ fn every_record_kind_recovers_from_every_corruption() {
         o.remove(i);
         o
     };
-    check(prepared, &others(0));
-    check(workloads, &others(1));
-    check(layer_run, &others(2));
-    check(event, &others(3));
-    check(accuracy, &others(4));
-    check(trained, &others(5));
-    check(surrogate, &others(6));
-    check(runtime, &others(7));
+    check(workloads, &others(0));
+    check(layer_run, &others(1));
+    check(event, &others(2));
+    check(accuracy, &others(3));
+    check(trained, &others(4));
+    check(surrogate, &others(5));
+    check(runtime, &others(6));
 }
